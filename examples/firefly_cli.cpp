@@ -9,6 +9,7 @@
 // no longer drift from what the binary actually accepts.  Run with --help
 // for the current table and the live protocol registry.
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -21,7 +22,6 @@
 #include "obs/span.hpp"
 #include "proto/registry.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/soak.hpp"
 #include "util/flags.hpp"
 #include "util/stats.hpp"
@@ -57,8 +57,6 @@ constexpr FlagSpec kFlagSpecs[] = {
     {"period", "SLOTS", "firing period in 1 ms slots [100]", 0},
     {"periods", "MAX", "horizon in firing periods [400]", 0},
     {"mobility", "MPS", "random-waypoint speed, 0 = static [0]", 0},
-    {"scheduler", "wheel|heap", "event scheduler; identical results [wheel]", 0},
-    {"device-core", "soa|struct", "hot device state layout; identical results [soa]", 0},
     {"csv", "PATH", "append the result table as CSV rows", 0},
     {"churn", "PER_MIN", "crash rate [0]", 1},
     {"churn-rate", "PER_MIN", "alias for --churn (service-mode docs)", 1},
@@ -132,34 +130,32 @@ int main(int argc, char** argv) {
   }
   if (!reject_unknown_flags(flags)) return 2;
 
+  // Integer flags bound for unsigned config fields: a negative or oversized
+  // value would wrap in the cast, so it is reported here.  Everything else
+  // about the scenario is checked by core::validate below.
+  bool bad_integer = false;
+  const auto integer = [&](const char* name, std::int64_t fallback, std::int64_t lo,
+                           std::int64_t hi) {
+    const std::int64_t v = flags.get(name, fallback);
+    if ((v < lo || v > hi) && !bad_integer) {
+      std::cerr << "--" << name << " = " << v
+                << (v < lo ? " is below " : " exceeds ") << (v < lo ? lo : hi) << '\n';
+      bad_integer = true;
+    }
+    return std::clamp(v, lo, hi);
+  };
+  constexpr std::int64_t kU32 = UINT32_MAX;
+
   core::ScenarioConfig base;
-  base.n = static_cast<std::size_t>(flags.get("n", std::int64_t{50}));
+  base.n = static_cast<std::size_t>(integer("n", 50, 0, INT64_MAX));
   base.seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{1}));
   base.area_policy = flags.get("area", std::string("scaled")) == "fixed"
                          ? core::AreaPolicy::kFixed
                          : core::AreaPolicy::kDensityScaled;
   base.protocol.prc.epsilon = flags.get("epsilon", 0.05);
-  base.protocol.period_slots =
-      static_cast<std::uint32_t>(flags.get("period", std::int64_t{100}));
-  base.protocol.max_periods =
-      static_cast<std::uint32_t>(flags.get("periods", std::int64_t{400}));
+  base.protocol.period_slots = static_cast<std::uint32_t>(integer("period", 100, 0, kU32));
+  base.protocol.max_periods = static_cast<std::uint32_t>(integer("periods", 400, 0, kU32));
   base.protocol.mobility_speed_mps = flags.get("mobility", 0.0);
-  const std::string scheduler_arg = flags.get("scheduler", std::string("wheel"));
-  if (const auto kind = sim::scheduler_from_name(scheduler_arg); kind.has_value()) {
-    base.protocol.scheduler = *kind;
-  } else {
-    std::cerr << "unknown --scheduler '" << scheduler_arg << "' (expected: wheel, heap)\n";
-    return 2;
-  }
-  const std::string core_arg = flags.get("device-core", std::string("soa"));
-  if (core_arg == "soa") {
-    base.protocol.device_core = core::DeviceCore::kSoa;
-  } else if (core_arg == "struct") {
-    base.protocol.device_core = core::DeviceCore::kStruct;
-  } else {
-    std::cerr << "unknown --device-core '" << core_arg << "' (expected: soa, struct)\n";
-    return 2;
-  }
   fault::FaultPlan& faults = base.protocol.faults;
   faults.churn_rate_per_min = flags.get("churn", flags.get("churn-rate", 0.0));
   faults.mean_downtime_ms = flags.get("downtime", faults.mean_downtime_ms);
@@ -169,7 +165,12 @@ int main(int argc, char** argv) {
   faults.fade_rate_per_min = flags.get("fade-rate", 0.0);
   faults.fade_mean_duration_ms = flags.get("fade-ms", faults.fade_mean_duration_ms);
   faults.fade_depth_db = flags.get("fade-depth", faults.fade_depth_db);
-  const auto trials = static_cast<std::size_t>(flags.get("trials", std::int64_t{1}));
+  const auto trials = static_cast<std::size_t>(integer("trials", 1, 1, kU32));
+  if (bad_integer) return 2;
+  if (const std::string error = core::validate(base); !error.empty()) {
+    std::cerr << "invalid scenario: " << error << '\n';
+    return 2;
+  }
 
   // --- observability wiring (all optional, all off by default) ---
   const std::string trace_chrome = flags.get("trace-chrome", std::string());
@@ -230,11 +231,18 @@ int main(int argc, char** argv) {
     if (flags.has("telemetry")) {
       util::Table summary("telemetry (all trials of this invocation)");
       summary.set_headers({"metric", "count", "mean", "p50", "p90", "p99", "max"});
+      // Every span id has a pre-registered counter and histogram; a span this
+      // invocation never opened would only print a misleading zero row.
+      const auto idle_span = [](const std::string& name, std::uint64_t count) {
+        return count == 0 && name.rfind("span.", 0) == 0;
+      };
       for (const auto& [name, c] : telemetry.registry().counters()) {
+        if (idle_span(name, c.value())) continue;
         summary.add_row({name, util::Table::num(static_cast<std::size_t>(c.value())), "-",
                          "-", "-", "-", "-"});
       }
       for (const auto& [name, h] : telemetry.registry().histograms()) {
+        if (idle_span(name, h.count())) continue;
         summary.add_row({name, util::Table::num(static_cast<std::size_t>(h.count())),
                          util::Table::num(h.mean(), 2), util::Table::num(h.quantile(0.5), 2),
                          util::Table::num(h.quantile(0.9), 2),

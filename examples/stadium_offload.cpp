@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   config.seed = seed;
   proto::StEngine engine(positions, config.protocol, config.radio, seed);
   const core::RunMetrics metrics = engine.run();
+  const core::EngineBase& world = engine;  // read-only view of the final state
 
   std::cout << "\nconverged: " << (metrics.converged ? "yes" : "NO") << " at "
             << metrics.convergence_ms << " ms, " << metrics.total_messages()
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
     }
     std::size_t candidate_donors = 0;
     double best_weight = -1e300;
-    for (const auto& [id, info] : device.neighbors) {
+    for (const auto& [id, info] : world.neighbors(device.id)) {
       if (!has_content[id]) continue;
       ++candidate_donors;
       best_weight = std::max(best_weight, info.weight_dbm);

@@ -1,11 +1,10 @@
 // device_soa.hpp — hot/cold split of the per-device protocol state.
 //
-// `core::Device` keeps every field a protocol might touch; profiling (DESIGN
-// §9/§12) shows the per-slot sweeps only read a small hot subset — oscillator
-// slots, fault flags, drift, ST fragment label, DESYNC phase memory — while
-// dragging the whole ~300-byte struct through the cache.  `DeviceHot` carves
-// that hot subset into flat arrays, index-aligned with the radio's dense
-// device order, out of ONE `util::RegionArena` block per trial:
+// The per-slot sweeps read only a small hot subset of each device's state —
+// oscillator slots, fault flags, drift, ST fragment label, DESYNC phase
+// memory.  `DeviceHot` is the only storage of that subset: flat arrays,
+// index-aligned with the radio's dense device order, carved out of ONE
+// `util::RegionArena` block per trial:
 //
 //   * a receiver sweep walks contiguous memory instead of striding structs,
 //   * snapshot/restore of all hot scalars is a single memcpy of the region,
@@ -13,9 +12,8 @@
 //
 // Neighbor tables are hot too but own heap storage, so they sit beside the
 // region in an index-aligned vector (restored element-wise, capacity-reusing).
-// Cold fields — identity, position, ST tree bookkeeping, dedup sets — stay in
-// the `Device` struct, which remains the single storage under
-// `DeviceCore::kStruct` (the bit-identical reference leg).
+// Cold fields — identity, position, ST tree bookkeeping, dedup sets — live in
+// the `core::Device` struct.
 #pragma once
 
 #include <cstddef>
@@ -23,12 +21,10 @@
 #include <vector>
 
 #include "core/neighbor_table.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/slot_calendar.hpp"  // EventId
 #include "util/arena.hpp"
 
 namespace firefly::core {
-
-struct Device;
 
 struct DeviceHot {
   // --- oscillator ---
@@ -57,19 +53,16 @@ struct DeviceHot {
   std::vector<NeighborTable> neighbors;
 
   [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] bool built() const { return count_ != 0; }
 
   /// One region snapshot = these bytes, verbatim.
   [[nodiscard]] const std::byte* block() const { return arena_.data(); }
   [[nodiscard]] std::byte* block() { return arena_.data(); }
   [[nodiscard]] std::size_t block_bytes() const { return arena_.used(); }
 
-  /// Allocate the region and carve every array for `n` devices (zero-filled).
+  /// Allocate the region and carve every array for `n` devices, each set
+  /// to a fresh device's state: never fired, up, no drift, fragment size 1,
+  /// no DESYNC pulse heard.  Fragment labels are the engine's to seed.
   void build(std::size_t n);
-  /// Copy hot fields (and neighbor tables) struct → arrays.
-  void load_from(const std::vector<Device>& devices);
-  /// Copy hot fields (and neighbor tables) arrays → struct.
-  void store_to(std::vector<Device>& devices) const;
 
  private:
   util::RegionArena arena_;

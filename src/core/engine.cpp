@@ -18,8 +18,7 @@ EngineBase::~EngineBase() = default;
 
 EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
                        phy::RadioParams radio_params, std::uint64_t seed)
-    : sim_(params.scheduler),
-      channel_(phy::make_paper_channel(seed, radio_params)),
+    : channel_(phy::make_paper_channel(seed, radio_params)),
       radio_(&sim_, channel_.get(), radio_params.capture_margin_db),
       params_(params),
       detector_(positions.size(), params.period_slots, params.tolerance_slots),
@@ -29,16 +28,16 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
       ranging_(&channel_->pathloss(), radio_params.tx_power),
       energy_(positions.size()),
       mobility_rng_(rng_factory_.make("core.mobility")) {
-  soa_ = params_.device_core == DeviceCore::kSoa;
   radio_.set_energy_meter(&energy_);
   devices_.reserve(positions.size());
+  hot_.build(positions.size());
   for (std::uint32_t id = 0; id < positions.size(); ++id) {
     Device d;
     d.id = id;
     d.position = positions[id];
     d.service = static_cast<std::uint16_t>(control_rng_.uniform_index(params_.service_count));
-    d.fragment = static_cast<std::uint16_t>(id);
     devices_.push_back(std::move(d));
+    hot_.fragment[id] = static_cast<std::uint16_t>(id);
   }
   for (Device& d : devices_) {
     mac::RadioMedium::ListenFn listening = nullptr;
@@ -65,7 +64,7 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
     injector_ = std::make_unique<fault::FaultInjector>(
         params_.faults, static_cast<std::uint32_t>(devices_.size()),
         params_.max_slots(), seed);
-    for (Device& d : devices_) d.drift_ppm = injector_->drift_ppm(d.id);
+    for (std::uint32_t i = 0; i < devices_.size(); ++i) hot_.drift_ppm[i] = injector_->drift_ppm(i);
     install_fault_hook();
     // A faulted run observes behaviour *through* the faults, so it never
     // stops at the first convergence instant.
@@ -88,14 +87,6 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
       reliable_links_.emplace_back(u, v);
     }
   });
-
-  // Hot/cold split: carve the flat arrays and seed them from the structs,
-  // picking up every constructor-time write above (fragment labels, drift).
-  // From here on all hot reads and writes go through the accessors.
-  if (soa_) {
-    hot_.build(devices_.size());
-    hot_.load_from(devices_);
-  }
 }
 
 std::int64_t EngineBase::current_slot() const {

@@ -1,6 +1,5 @@
 #include "core/experiment.hpp"
 
-#include "obs/timer.hpp"
 #include "util/rng.hpp"
 
 namespace firefly::core {
@@ -51,7 +50,6 @@ std::vector<SweepPoint> sweep(Protocol protocol, const SweepConfig& config,
     const std::size_t point_index = flat / config.trials;
     const std::size_t trial = flat % config.trials;
     const ScenarioConfig trial_cfg = trial_config(config, points[point_index].n, trial);
-    const obs::ScopedTimer span(config.hooks.telemetry, obs::SpanId::kTrial);
     results[flat] = run_trial(protocol, trial_cfg, config.hooks);
   };
 

@@ -10,11 +10,13 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/metrics.hpp"
 #include "core/params.hpp"
 #include "core/trace.hpp"
+#include "core/wire.hpp"
 #include "geo/deployment.hpp"
 #include "geo/point.hpp"
 #include "graph/graph.hpp"
@@ -47,6 +49,17 @@ struct ScenarioConfig {
 
   [[nodiscard]] geo::Area area() const;
 };
+
+/// Largest population a scenario may hold: device ids travel in 16-bit
+/// wire fields, and 0xFFFF is the reserved "no device" id.
+inline constexpr std::size_t kMaxDevices = kInvalidId - 1;
+
+/// Check a scenario before running it: population and slot counts in range,
+/// every real-valued knob finite and in its domain, and a horizon of at
+/// least one whole firing period.  Returns an empty string for a valid
+/// config, else a one-line message naming the offending field.  Front ends
+/// report the message and exit 2 instead of aborting mid-run.
+[[nodiscard]] std::string validate(const ScenarioConfig& config);
 
 /// Deterministic deployment for the scenario (uniform i.i.d., seeded).
 [[nodiscard]] std::vector<geo::Vec2> deploy(const ScenarioConfig& config);

@@ -26,13 +26,11 @@ std::unique_ptr<EngineSnapshot> EngineBase::snapshot() {
   auto snap = std::make_unique<EngineSnapshot>();
   snap->sim = sim_.snapshot();
   snap->devices = devices_;
-  if (soa_) {
-    // The whole hot scalar state is one contiguous region: snapshot it as a
-    // flat byte copy.  Neighbour tables own heap storage, so they ride
-    // separately (element-wise copies, capacity-reusing on restore).
-    snap->hot_block.assign(hot_.block(), hot_.block() + hot_.block_bytes());
-    snap->hot_neighbors = hot_.neighbors;
-  }
+  // The whole hot scalar state is one contiguous region: snapshot it as a
+  // flat byte copy.  Neighbour tables own heap storage, so they ride
+  // separately (element-wise copies, capacity-reusing on restore).
+  snap->hot_block.assign(hot_.block(), hot_.block() + hot_.block_bytes());
+  snap->hot_neighbors = hot_.neighbors;
   snap->detector = detector_;
   snap->local_detector = local_detector_;
   snap->control_rng = control_rng_;
@@ -77,16 +75,14 @@ void EngineBase::restore(const EngineSnapshot& snap) {
   // Element-wise: pending callbacks hold `&devices_[i]`, so the vector's
   // storage must not move.
   for (std::size_t i = 0; i < devices_.size(); ++i) devices_[i] = snap.devices[i];
-  if (soa_) {
-    assert(snap.hot_block.size() == hot_.block_bytes() &&
-           "hot-region layout must match the engine that took the snapshot");
-    std::memcpy(hot_.block(), snap.hot_block.data(), snap.hot_block.size());
-    // Element-wise for the same reason as devices_: assignment reuses each
-    // table's existing slot array, so a steady-state restore is
-    // allocation-free and the arrays never move.
-    for (std::size_t i = 0; i < hot_.neighbors.size(); ++i) {
-      hot_.neighbors[i] = snap.hot_neighbors[i];
-    }
+  assert(snap.hot_block.size() == hot_.block_bytes() &&
+         "hot-region layout must match the engine that took the snapshot");
+  std::memcpy(hot_.block(), snap.hot_block.data(), snap.hot_block.size());
+  // Element-wise for the same reason as devices_: assignment reuses each
+  // table's existing slot array, so a steady-state restore is
+  // allocation-free and the arrays never move.
+  for (std::size_t i = 0; i < hot_.neighbors.size(); ++i) {
+    hot_.neighbors[i] = snap.hot_neighbors[i];
   }
   detector_ = *snap.detector;
   local_detector_ = *snap.local_detector;

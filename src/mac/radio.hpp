@@ -121,14 +121,15 @@ class RadioMedium {
   /// slot-averaged power is within `fading_margin_db` of being detectable,
   /// with that mean memoised so delivery never recomputes path loss or
   /// shadowing.  Enumeration is grid-indexed (O(N·k) cell queries keyed by
-  /// the channel's max detectable range) or dense O(N²) per
-  /// `RadioParams::spatial_index`; both produce identical caches.  The cache
+  /// the channel's max detectable range; all pairs when shadowing makes the
+  /// range unbounded) and yields exactly the pairs an all-pairs scan would
+  /// admit, in the same order.  The cache
   /// is stored structure-of-arrays (one flat `ids`/`mean`/`skip` array per
   /// field, prefix-offset indexed per sender) so a slot flush sweeps
   /// contiguous memory.  Call after registering devices and after
   /// `invalidate`.
   void rebuild(double fading_margin_db = phy::RadioParams::kCandidateFadingMarginDb);
-  /// Mark the candidate cache stale.  Delivery falls back to a dense
+  /// Mark the candidate cache stale.  Delivery falls back to a full
   /// per-slot scan until the next `rebuild` (`add_device` and `move_device`
   /// invalidate implicitly; mobility steps rebuild right after moving).
   void invalidate() { cache_valid_ = false; }
@@ -250,8 +251,7 @@ class RadioMedium {
   obs::Telemetry* telemetry_ = nullptr;
   // Candidate cache, structure-of-arrays: sender u's candidates occupy flat
   // slots [cand_offsets_[u], cand_offsets_[u+1]), ascending rx index —
-  // identical order for grid and dense enumeration, which pins the fading
-  // stream.  Parallel arrays so the delivery sweep reads each field
+  // the order that pins the fading stream.  Parallel arrays so the delivery sweep reads each field
   // contiguously.
   std::vector<std::size_t> cand_offsets_;   // n+1 prefix offsets
   std::vector<std::uint32_t> cand_rx_;      // receiver device index
@@ -284,8 +284,7 @@ class RadioMedium {
   bool cache_valid_ = false;
   bool uniform_skip_ = false;  // fading model offers the u-space skip test
   geo::SpatialGrid grid_;
-  bool grid_ready_ = false;     // cell membership current (maintained by move_device)
-  bool grid_delivery_ = false;  // cache built for the memoised fast path
+  bool grid_ready_ = false;  // cell membership current (maintained by move_device)
 };
 
 }  // namespace firefly::mac

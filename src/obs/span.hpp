@@ -27,7 +27,7 @@ enum class SpanId : std::uint8_t {
   kPcoUpdate = 1,     ///< EngineBase::apply_pulse_coupling — one PRC jump
   kHConnect = 2,      ///< StEngine::attempt_connect — one H_Connect attempt
   kMerge = 3,         ///< StEngine::local_merge — one fragment merge
-  kTrial = 4,         ///< core::experiment — one Monte-Carlo trial
+  kTrial = 4,         ///< core::run_trial — one trial, set-up included
 };
 inline constexpr std::size_t kSpanIdCount = 5;
 

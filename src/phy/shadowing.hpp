@@ -78,7 +78,7 @@ class IidShadowing final : public ShadowingModel {
 /// clamped at ±`kClampSigmas`·σ, giving the hard `max_gain_db` bound that
 /// makes range-based candidate pruning exact; the clamp shifts the per-link
 /// variance by < 0.5% (truncation probability ≈ 2.7e-3 per link).
-/// `sample` memoises into a per-link cache (the dense scan's working set);
+/// `sample` memoises into a per-link cache (the protocols' per-link queries);
 /// `sample_uncached` recomputes the identical value without touching it.
 class PerLinkShadowing final : public ShadowingModel {
  public:

@@ -19,20 +19,34 @@
 //     exact (time, seq) order the heap would produce.  A bucket that mixes
 //     intra-slot microsecond offsets out of order is detected via a per-
 //     bucket flag and spilled into a small (time, seq) min-heap before
-//     draining, so the total order is ALWAYS identical to EventQueue's.
+//     draining, so the total order is ALWAYS the (time, seq) order.
 //
-// Determinism is the hard requirement: `test_scheduler_equivalence` asserts
-// bit-identical RunMetrics between this scheduler and the heap reference.
+// Determinism is the hard requirement.  The tests check the pop order
+// against a binary-heap oracle (tests/heap_event_queue.hpp) under random
+// schedule/cancel fuzz and mass cancellation.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.hpp"  // EventId, EventFn, FiredEvent
 #include "sim/time.hpp"
 #include "util/arena.hpp"
+#include "util/inplace_function.hpp"
 
 namespace firefly::sim {
+
+using EventId = std::uint64_t;
+/// Event callback with inline (small-buffer) capture storage.  48 bytes
+/// covers every closure the engines schedule; larger captures fail to
+/// compile rather than silently allocating.
+using EventFn = util::InplaceFunction<void(), 48>;
+
+/// A popped event.
+struct FiredEvent {
+  SimTime time;
+  EventId id;
+  EventFn fn;
+};
 
 class SlotCalendar {
  public:

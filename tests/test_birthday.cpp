@@ -36,9 +36,10 @@ TEST(Birthday, NeverAligns) {
                               config.seed);
   const auto m = engine.run();
   EXPECT_TRUE(m.converged);
+  const core::EngineBase& view = engine;
   std::vector<double> phases;
-  for (const auto& d : engine.devices()) {
-    phases.push_back(static_cast<double>(d.last_fire_slot % 100) / 100.0);
+  for (const auto& d : view.devices()) {
+    phases.push_back(static_cast<double>(view.last_fire_slot(d.id) % 100) / 100.0);
   }
   // i.i.d. uniform phases: spread close to 1, far from aligned.
   EXPECT_GT(pco::circular_spread(phases), 0.5);

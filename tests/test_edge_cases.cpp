@@ -33,8 +33,9 @@ TEST(EdgeCases, TwoDevicesInRange) {
   const auto m = engine.run();
   EXPECT_TRUE(m.converged);
   EXPECT_EQ(m.final_fragments, 1U);
-  EXPECT_EQ(engine.devices()[0].neighbors.count(1), 1U);
-  EXPECT_EQ(engine.devices()[1].neighbors.count(0), 1U);
+  const core::EngineBase& view = engine;
+  EXPECT_EQ(view.neighbors(0).count(1), 1U);
+  EXPECT_EQ(view.neighbors(1).count(0), 1U);
 }
 
 TEST(EdgeCases, DisconnectedIslandsReportFailureNotHang) {

@@ -1,5 +1,6 @@
-// Tests for the deterministic pending-event set (src/sim/event_queue.hpp).
-#include "sim/event_queue.hpp"
+// Tests for the binary-heap pending-event set that serves as the slot
+// calendar's test oracle (heap_event_queue.hpp).
+#include "heap_event_queue.hpp"
 
 #include <gtest/gtest.h>
 

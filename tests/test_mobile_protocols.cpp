@@ -32,13 +32,14 @@ class ObservableSt final : public proto::StEngine {
   }
   [[nodiscard]] std::size_t fragment_count() const {
     std::set<std::uint16_t> labels;
-    for (const auto& d : devices()) labels.insert(d.fragment);
+    for (const auto& d : devices()) labels.insert(fragment(d.id));
     return labels.size();
   }
   [[nodiscard]] std::int64_t firing_spread_slots() const {
     std::vector<std::int64_t> mods;
     for (const auto& d : devices()) {
-      if (d.last_fire_slot >= 0) mods.push_back(d.last_fire_slot % params().period_slots);
+      const std::int64_t last = last_fire_slot(d.id);
+      if (last >= 0) mods.push_back(last % params().period_slots);
     }
     if (mods.size() < devices().size()) return params().period_slots;
     std::sort(mods.begin(), mods.end());

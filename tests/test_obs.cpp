@@ -295,6 +295,8 @@ TEST(ObsInvariance, TelemetryOffRunMetricsAreBitIdentical) {
     // ...and the observers did actually observe something.
     EXPECT_GT(telemetry.registry().counter("engine.fires").value(), 0U);
     EXPECT_GT(spans.size(), 0U);
+    // run_trial opens the per-trial span itself, exactly once per trial.
+    EXPECT_EQ(telemetry.registry().counter("span.trial.calls").value(), 1U);
   }
 }
 

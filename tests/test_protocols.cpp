@@ -136,10 +136,11 @@ TEST(Protocols, EngineExposesDeviceStates) {
   const RunMetrics m = engine.run();
   ASSERT_TRUE(m.converged);
   // All devices in one fragment, each with a reasonable neighbour table.
+  const core::EngineBase& view = engine;
   std::set<std::uint16_t> labels;
-  for (const auto& d : engine.devices()) {
-    labels.insert(d.fragment);
-    EXPECT_FALSE(d.neighbors.empty());
+  for (const auto& d : view.devices()) {
+    labels.insert(view.fragment(d.id));
+    EXPECT_FALSE(view.neighbors(d.id).empty());
   }
   EXPECT_EQ(labels.size(), 1U);
 }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "graph/mst.hpp"
 #include "phy/channel.hpp"
 
@@ -96,6 +99,37 @@ TEST(Scenario, ProximityGraphSupportsMaxSpanningTree) {
 TEST(Scenario, ProtocolNames) {
   EXPECT_STREQ(core::to_string(core::Protocol::kFst), "FST");
   EXPECT_STREQ(core::to_string(core::Protocol::kSt), "ST");
+}
+
+TEST(Scenario, ValidateAcceptsDefaultsAndNamesTheBadField) {
+  EXPECT_EQ(core::validate(core::ScenarioConfig{}), "");
+
+  const auto error_with = [](auto mutate) {
+    core::ScenarioConfig config;
+    mutate(config);
+    return core::validate(config);
+  };
+  EXPECT_NE(error_with([](core::ScenarioConfig& c) { c.n = 0; }).find("n = 0"),
+            std::string::npos);
+  EXPECT_NE(error_with([](core::ScenarioConfig& c) { c.n = core::kMaxDevices + 1; }),
+            "");
+  EXPECT_NE(error_with([](core::ScenarioConfig& c) { c.protocol.period_slots = 0; })
+                .find("period_slots"),
+            std::string::npos);
+  EXPECT_NE(error_with([](core::ScenarioConfig& c) { c.protocol.max_periods = 0; })
+                .find("max_periods"),
+            std::string::npos);
+  EXPECT_NE(error_with([](core::ScenarioConfig& c) {
+              c.protocol.prc.epsilon = std::numeric_limits<double>::quiet_NaN();
+            }).find("epsilon"),
+            std::string::npos);
+  EXPECT_NE(error_with([](core::ScenarioConfig& c) { c.protocol.prc.epsilon = -3.0; })
+                .find("epsilon"),
+            std::string::npos);
+  EXPECT_NE(error_with([](core::ScenarioConfig& c) {
+              c.protocol.faults.drop_probability = 1.5;
+            }).find("drop_probability"),
+            std::string::npos);
 }
 
 }  // namespace

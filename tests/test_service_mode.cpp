@@ -1,7 +1,7 @@
 // Tests for the long-lived service mode (core/service_mode): windowed soak
 // telemetry, the snapshot/restore rollback checkpoint (byte-identical
-// RunMetrics after a mid-soak restore), scheduler-backend equivalence, the
-// recorder's backpressure accounting and the config-validation paths.
+// RunMetrics after a mid-soak restore), the recorder's backpressure
+// accounting and the config-validation paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -134,26 +134,6 @@ TEST(ServiceMode, RestoreRewindsAndReplaysWindows) {
     EXPECT_TRUE(tail[i] == all[8 + i])
         << "replayed window " << tail[i].index << " differs";
   }
-}
-
-TEST(ServiceMode, WheelAndHeapSchedulersAgree) {
-  core::ScenarioConfig config = soak_scenario(3);
-  config.n = 16;
-  core::ServiceConfig service = short_soak();
-  service.duration_slots = 12'000;
-
-  config.protocol.scheduler = sim::SchedulerKind::kWheel;
-  const core::ServiceReport wheel =
-      core::run_service_trial(core::Protocol::kSt, config, service);
-  config.protocol.scheduler = sim::SchedulerKind::kHeap;
-  const core::ServiceReport heap =
-      core::run_service_trial(core::Protocol::kSt, config, service);
-  ASSERT_TRUE(wheel.ok() && heap.ok());
-  EXPECT_TRUE(wheel.metrics == heap.metrics)
-      << "service runs must be scheduler-backend independent";
-  // Only the arena probe may differ: the reference heap has no arena.
-  EXPECT_GT(wheel.arena_capacity, 0u);
-  EXPECT_EQ(heap.arena_capacity, 0u);
 }
 
 TEST(ServiceMode, RejectsPlansEndingBeforeHorizon) {

@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "heap_event_queue.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -62,12 +62,9 @@ TEST(SoakMemory, MillionSlotChurnSoakHasZeroSteadyStateHeapGrowth) {
   core::ScenarioConfig config;
   config.n = 32;
   config.seed = 17;
-  // Pin the production SoA device core explicitly (it is also the default):
-  // the DeviceHot region is carved from one arena at engine construction and
+  // The DeviceHot region is carved from one arena at engine construction and
   // crash/recover cold-boots rewrite it in place, so the zero-growth
-  // assertion below covers the flat hot arrays too, not just the struct
-  // path this test predates.
-  config.protocol.device_core = core::DeviceCore::kSoa;
+  // assertion below covers the flat hot arrays too.
   // Churn plus the allocation-free channel faults.  (Deep fades are excluded
   // on purpose: the active-fade bookkeeping uses a node-based container, so
   // a fade soak's steady state is bounded but not allocation-free.)
