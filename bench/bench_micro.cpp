@@ -14,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -166,8 +167,13 @@ BENCHMARK(BM_SlotOscillatorCycle);
 
 void BM_RadioSlotFlush(benchmark::State& state) {
   // One slot with `txs` simultaneous broadcasts into a 200-device network:
-  // the protocol hot path.
+  // the protocol hot path.  `rach2` = 1 puts every other broadcast on the
+  // H_Connect codec, so buckets mix both RACH pools; `fault` = 1 installs a
+  // drop/fade hook like the engine's, which moves delivery onto the
+  // memoised scalar sweep.
   const auto txs = static_cast<std::size_t>(state.range(0));
+  const bool mixed = state.range(1) != 0;
+  const bool faulted = state.range(2) != 0;
   sim::Simulator sim;
   auto channel = phy::make_paper_channel(4);
   mac::RadioMedium radio(&sim, channel.get());
@@ -177,12 +183,21 @@ void BM_RadioSlotFlush(benchmark::State& state) {
     radio.add_device(id, {rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)});
   }
   radio.rebuild();
+  util::Rng drop_rng(6);
+  if (faulted) {
+    radio.set_fault_hook([&drop_rng](std::uint32_t sender, std::uint32_t receiver,
+                                     mac::PsType) -> std::optional<util::Db> {
+      if (drop_rng.bernoulli(0.02)) return std::nullopt;
+      return util::Db{(sender + receiver) % 16 == 0 ? 20.0 : 0.0};
+    });
+  }
   std::uint64_t slot = 1;
   for (auto _ : state) {
     for (std::size_t i = 0; i < txs; ++i) {
+      const mac::RachCodec codec =
+          mixed && i % 2 == 1 ? mac::RachCodec::kRach2 : mac::RachCodec::kRach1;
       radio.broadcast(static_cast<std::uint32_t>(i % n),
-                      {mac::RachCodec::kRach1,
-                       static_cast<std::uint32_t>(rng.uniform_index(64))},
+                      {codec, static_cast<std::uint32_t>(rng.uniform_index(64))},
                       mac::PsType::kSyncPulse, 0);
     }
     sim.run_until(sim::SimTime::milliseconds(static_cast<std::int64_t>(slot)));
@@ -190,7 +205,13 @@ void BM_RadioSlotFlush(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * txs));
 }
-BENCHMARK(BM_RadioSlotFlush)->Arg(1)->Arg(16)->Arg(128);
+BENCHMARK(BM_RadioSlotFlush)
+    ->ArgNames({"txs", "rach2", "fault"})
+    ->Args({1, 0, 0})
+    ->Args({16, 0, 0})
+    ->Args({128, 0, 0})
+    ->Args({128, 1, 0})
+    ->Args({128, 1, 1});
 
 void BM_RadioBatchedDeliverySweep(benchmark::State& state) {
   // The batched SoA delivery path at scale: a 1000-device network, `txs`

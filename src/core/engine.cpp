@@ -339,19 +339,13 @@ void EngineBase::start_run() {
 
 void EngineBase::install_fault_hook() {
   if (!params_.faults.channel_enabled()) return;
-  radio_.set_fault_hook(
-      [this](std::uint32_t sender, std::uint32_t receiver, mac::PsType /*type*/,
-             util::Dbm power) -> std::optional<util::Dbm> {
-        if (injector_->drop_reception()) return std::nullopt;
-        const double attenuation_db = injector_->link_attenuation_db(sender, receiver);
-        if (attenuation_db > 0.0) {
-          power = power - util::Db{attenuation_db};
-          // A faded-below-threshold reception is a fault drop, not an
-          // ordinary out-of-range miss.
-          if (!channel_->detectable(power)) return std::nullopt;
-        }
-        return power;
-      });
+  // One drop draw per candidate, then the link's fade depth; the radio
+  // applies the attenuation and its threshold rule (see RadioMedium::FaultFn).
+  radio_.set_fault_hook([this](std::uint32_t sender, std::uint32_t receiver,
+                               mac::PsType /*type*/) -> std::optional<util::Db> {
+    if (injector_->drop_reception()) return std::nullopt;
+    return util::Db{injector_->link_attenuation_db(sender, receiver)};
+  });
 }
 
 void EngineBase::schedule_fault_events() {

@@ -10,6 +10,20 @@
 
 namespace firefly::mac {
 
+namespace {
+
+static_assert(static_cast<std::uint32_t>(RachCodec::kRach1) == 1 &&
+                  static_cast<std::uint32_t>(RachCodec::kRach2) == 2,
+              "resource_key packs RACH1 into slots [0, 64) and RACH2 into [64, 128)");
+
+// Collision-table slot of one RACH resource.  Distinct codecs are
+// orthogonal, so the two pools map to disjoint key ranges.
+std::uint32_t resource_key(Preamble p) {
+  return (static_cast<std::uint32_t>(p.codec) - 1U) * kPreamblePoolSize + p.index;
+}
+
+}  // namespace
+
 RadioMedium::RadioMedium(sim::Simulator* sim, phy::Channel* channel, double capture_margin_db)
     : sim_(sim), channel_(channel), capture_margin_db_(capture_margin_db) {
   assert(sim_ != nullptr && channel_ != nullptr);
@@ -172,6 +186,7 @@ void RadioMedium::rebuild(double fading_margin_db) {
 
 void RadioMedium::broadcast(std::uint32_t sender, Preamble preamble, PsType type,
                             std::uint64_t payload) {
+  assert(preamble.index < kPreamblePoolSize && "preamble outside the RACH pool");
   if (down_[index_of(sender)] != 0) return;  // crashed: PA is off
   const std::int64_t slot = slot_index(sim_->now());
   const sim::SimTime slot_start = sim::SimTime{slot * sim::kLteSlot.us};
@@ -200,17 +215,36 @@ void RadioMedium::add_audible(std::size_t rx_index, const PendingTx& tx) {
   if (rx.listening && !rx.listening()) return;  // duty-cycled receiver asleep
   const geo::Vec2 tx_pos = devices_[index_of(tx.sender)].position;
   util::Dbm power = channel_->received_power(tx.sender, tx_pos, rx.id, rx.position);
-  if (fault_) {
-    const std::optional<util::Dbm> adjusted = fault_(tx.sender, rx.id, tx.type, power);
-    if (!adjusted.has_value()) {
-      ++counters_.fault_drops;
-      return;
-    }
-    power = *adjusted;
-  }
+  if (fault_ && !fault_admits(tx, rx.id, power)) return;
   if (!channel_->detectable(power)) return;
   if (buckets_[rx_index].empty()) touched_.push_back(rx_index);
   buckets_[rx_index].push_back(Audible{&tx, power});
+}
+
+bool RadioMedium::fault_admits(const PendingTx& tx, std::uint32_t rx_id, util::Dbm& power) {
+  const std::optional<util::Db> attenuation = fault_(tx.sender, rx_id, tx.type);
+  if (!attenuation.has_value()) {
+    ++counters_.fault_drops;
+    return false;
+  }
+  assert(attenuation->value >= 0.0 && "a fault hook attenuates, never amplifies");
+  if (attenuation->value > 0.0) {
+    power = power - *attenuation;
+    // A faded-below-threshold reception is a fault drop, not an ordinary
+    // out-of-range miss.
+    if (!channel_->detectable(power)) {
+      ++counters_.fault_drops;
+      return false;
+    }
+  }
+  return true;
+}
+
+void RadioMedium::fault_sub_threshold(const PendingTx& tx, std::uint32_t rx_id) {
+  // The unattenuated power is already below threshold, so any attenuation
+  // keeps it there: fault_admits would count exactly these cases as drops.
+  const std::optional<util::Db> attenuation = fault_(tx.sender, rx_id, tx.type);
+  if (!attenuation.has_value() || attenuation->value > 0.0) ++counters_.fault_drops;
 }
 
 void RadioMedium::deliver_fused() {
@@ -252,8 +286,9 @@ void RadioMedium::deliver_memoised_scalar() {
   // Memoised fast path: the candidate's mean power replaces the per-pair
   // path-loss + shadowing recomputation, and most sub-threshold fades are
   // rejected on the raw uniform (or linear gain) alone.  Gate order and the
-  // fading-stream consumption mirror add_audible exactly, so the delivered
-  // receptions are bit-identical to the full scan's.
+  // fading-stream consumption mirror add_audible exactly, and a skipped
+  // candidate still makes its one fault-hook call, so the delivered
+  // receptions and the counters are bit-identical to the full scan's.
   for (const PendingTx& tx : flushing_) {
     const std::size_t s = index_of(tx.sender);
     for (std::size_t k = cand_offsets_[s]; k < cand_offsets_[s + 1]; ++k) {
@@ -264,26 +299,23 @@ void RadioMedium::deliver_memoised_scalar() {
         if (rx.listening && !rx.listening()) continue;  // duty-cycled, asleep
       }
       double gain;
+      bool sub_threshold;  // provably below threshold before any fault
       if (uniform_skip_) {
         // Raw-uniform shortcut: same single generator step, but the
         // provably sub-threshold draws never pay the gain transform.
         const double u = channel_->sample_fading_uniform();
-        if (!fault_ && u >= cand_skip_u_[k]) continue;
-        gain = channel_->fading().gain_from_uniform(u);
+        sub_threshold = u >= cand_skip_u_[k];
+        gain = sub_threshold ? 0.0 : channel_->fading().gain_from_uniform(u);
       } else {
         gain = channel_->sample_fading_gain();
-        if (!fault_ && gain < cand_skip_gain_[k]) continue;  // provably sub-threshold
+        sub_threshold = gain < cand_skip_gain_[k];
+      }
+      if (sub_threshold) {
+        if (fault_) fault_sub_threshold(tx, devices_[rxi].id);
+        continue;
       }
       util::Dbm power = util::Dbm{cand_mean_[k]} - phy::FadingModel::loss_from_gain(gain);
-      if (fault_) {
-        const std::optional<util::Dbm> adjusted =
-            fault_(tx.sender, devices_[rxi].id, tx.type, power);
-        if (!adjusted.has_value()) {
-          ++counters_.fault_drops;
-          continue;
-        }
-        power = *adjusted;
-      }
+      if (fault_ && !fault_admits(tx, devices_[rxi].id, power)) continue;
       if (!channel_->detectable(power)) continue;
       if (buckets_[rxi].empty()) touched_.push_back(rxi);
       buckets_[rxi].push_back(Audible{&tx, power});
@@ -304,77 +336,41 @@ void RadioMedium::resolve_receivers() {
     auto& audible = buckets_[rx_index];
     const DeviceEntry& rx = devices_[rx_index];
     const std::size_t k = audible.size();
-    bool grouped = false;
     if (k > 1) {
       // Contention prepass: chain the bucket's entries per RACH resource in
       // one O(k) epoch-marked pass (no clearing between buckets), and
       // convert contended entries to milliwatts exactly once.  The
       // interference sum then walks only an entry's own chain — in entry
-      // order, so it adds the same doubles in the same order as the naive
-      // all-pairs scan, which re-evaluated pow(10, dBm/10) per (a, b) pair.
-      grouped = true;
+      // order, so it adds the same doubles in the same order as an
+      // all-pairs scan over the bucket would.
+      ++group_epoch_;
       res_key_.resize(k);
+      group_next_.resize(k);
+      aud_mw_.resize(k);
       for (std::size_t i = 0; i < k; ++i) {
-        const Preamble p = audible[i].tx->preamble;
-        if (p.index >= kPreamblePoolSize ||
-            static_cast<std::uint32_t>(p.codec) >= kResourceCodecs) {
-          grouped = false;  // out-of-pool resource (tests): generic fallback
-          break;
+        const std::uint32_t key = resource_key(audible[i].tx->preamble);
+        res_key_[i] = key;
+        group_next_[i] = kGroupNil;
+        if (group_seen_[key] != group_epoch_) {
+          group_seen_[key] = group_epoch_;
+          group_head_[key] = static_cast<std::uint32_t>(i);
+          group_count_[key] = 1;
+        } else {
+          group_next_[group_tail_[key]] = static_cast<std::uint32_t>(i);
+          ++group_count_[key];
         }
-        res_key_[i] = static_cast<std::uint32_t>(p.codec) * kPreamblePoolSize + p.index;
+        group_tail_[key] = static_cast<std::uint32_t>(i);
       }
-      if (grouped) {
-        ++group_epoch_;
-        group_next_.resize(k);
-        aud_mw_.resize(k);
-        for (std::size_t i = 0; i < k; ++i) {
-          const std::uint32_t key = res_key_[i];
-          group_next_[i] = kGroupNil;
-          if (group_seen_[key] != group_epoch_) {
-            group_seen_[key] = group_epoch_;
-            group_head_[key] = static_cast<std::uint32_t>(i);
-            group_count_[key] = 1;
-          } else {
-            group_next_[group_tail_[key]] = static_cast<std::uint32_t>(i);
-            ++group_count_[key];
-          }
-          group_tail_[key] = static_cast<std::uint32_t>(i);
-        }
-        for (std::size_t i = 0; i < k; ++i) {
-          aud_mw_[i] =
-              group_count_[res_key_[i]] > 1 ? audible[i].power.milliwatts() : 0.0;
-        }
-      } else {
-        res_key_.resize(k);
-        aud_mw_.resize(k);
-        for (std::size_t i = 0; i < k; ++i) {
-          const Preamble p = audible[i].tx->preamble;
-          res_key_[i] = (static_cast<std::uint64_t>(p.codec) << 32) | p.index;
-        }
-        for (std::size_t i = 0; i < k; ++i) {
-          bool contended = false;
-          for (std::size_t j = 0; j < k; ++j) {
-            contended = contended || (j != i && res_key_[j] == res_key_[i]);
-          }
-          aud_mw_[i] = contended ? audible[i].power.milliwatts() : 0.0;
-        }
+      for (std::size_t i = 0; i < k; ++i) {
+        aud_mw_[i] = group_count_[res_key_[i]] > 1 ? audible[i].power.milliwatts() : 0.0;
       }
     }
     for (std::size_t i = 0; i < k; ++i) {
       const Audible& a = audible[i];
       double interference_mw = 0.0;
-      if (k > 1) {
-        if (grouped) {
-          if (group_count_[res_key_[i]] > 1) {
-            for (std::uint32_t j = group_head_[res_key_[i]]; j != kGroupNil;
-                 j = group_next_[j]) {
-              if (j != i) interference_mw += aud_mw_[j];
-            }
-          }
-        } else {
-          for (std::size_t j = 0; j < k; ++j) {
-            if (j != i && res_key_[j] == res_key_[i]) interference_mw += aud_mw_[j];
-          }
+      if (k > 1 && group_count_[res_key_[i]] > 1) {
+        for (std::uint32_t j = group_head_[res_key_[i]]; j != kGroupNil; j = group_next_[j]) {
+          if (j != i) interference_mw += aud_mw_[j];
         }
       }
       bool decoded = true;
@@ -461,6 +457,7 @@ void RadioMedium::reserve_delivery(std::size_t max_tx_per_slot) {
   // warm-up, so reserve for the storm, not the steady state.
   rx_records_.reserve(std::min<std::size_t>(max_tx_per_slot * devices_.size(), 1u << 20));
   res_key_.reserve(max_tx_per_slot);
+  group_next_.reserve(max_tx_per_slot);
   aud_mw_.reserve(max_tx_per_slot);
 }
 

@@ -77,15 +77,22 @@ class RadioMedium {
   /// Receiver-side duty cycling: evaluated at delivery time; a device whose
   /// predicate returns false is asleep and decodes nothing that slot.
   using ListenFn = std::function<bool()>;
-  /// Channel-fault hook (fault-injection runs): called once per audible
-  /// (tx, rx) pair before the detectability check.  Returns the possibly
-  /// attenuated power — which then flows through the normal threshold and
-  /// collision rules — or nullopt to veto the reception at this receiver
-  /// outright (counted in `TrafficCounters::fault_drops`).  A veto is a
-  /// per-receiver decode failure; the transmission still reaches other
-  /// receivers normally.
-  using FaultFn = std::function<std::optional<util::Dbm>(
-      std::uint32_t sender, std::uint32_t receiver, PsType type, util::Dbm power)>;
+  /// Channel-fault hook (fault-injection runs): called exactly once per
+  /// candidate (tx, rx) pair that passes the down and duty-cycle gates, in
+  /// sweep order, whether or not the faded power could be detectable.
+  /// Returns the link's extra attenuation (>= 0 dB), or nullopt to veto the
+  /// reception at this receiver outright.  The radio applies the
+  /// attenuation itself: a veto, or an attenuation > 0 that leaves the
+  /// reception below the detection threshold, counts in
+  /// `TrafficCounters::fault_drops`; the surviving power then flows through
+  /// the normal threshold and collision rules.  Because the attenuation
+  /// never raises a power, a candidate whose fade alone is provably
+  /// sub-threshold skips the fading math but still calls the hook (so the
+  /// hook's own random draws stay in order) and is a fault drop exactly
+  /// when the hook vetoes or attenuates.  A veto is a per-receiver decode
+  /// failure; the transmission still reaches other receivers normally.
+  using FaultFn = std::function<std::optional<util::Db>(std::uint32_t sender,
+                                                        std::uint32_t receiver, PsType type)>;
 
   /// `capture_margin_db`: a same-resource reception is decoded anyway when
   /// its power exceeds the *sum* of the interferers by this margin.
@@ -114,7 +121,8 @@ class RadioMedium {
   void set_delivery_sink(DeliverFn fn) { sink_ = std::move(fn); }
 
   /// Queue a broadcast for the slot containing now(); it is delivered to
-  /// every in-range receiver at the next slot boundary.
+  /// every in-range receiver at the next slot boundary.  The preamble index
+  /// must lie in the pool (`preamble.index < kPreamblePoolSize`).
   void broadcast(std::uint32_t sender, Preamble preamble, PsType type, std::uint64_t payload);
 
   /// Rebuild the candidate cache: for every device, the receivers whose
@@ -232,6 +240,11 @@ class RadioMedium {
   void deliver_fused();
   void deliver_memoised_scalar();
   void add_audible(std::size_t rx_index, const PendingTx& tx);
+  /// Apply the fault hook to one reception of `power`; false = fault drop.
+  bool fault_admits(const PendingTx& tx, std::uint32_t rx_id, util::Dbm& power);
+  /// Fault hook for a candidate whose fade is provably sub-threshold: it is
+  /// a fault drop on a veto or any attenuation, an ordinary miss otherwise.
+  void fault_sub_threshold(const PendingTx& tx, std::uint32_t rx_id);
   void resolve_receivers();
 
   sim::Simulator* sim_;
@@ -266,15 +279,14 @@ class RadioMedium {
   std::vector<std::size_t> touched_;           // receivers with non-empty buckets
   DeliverFn sink_;                             // per-slot batch consumer
   std::vector<RxRecord> rx_records_;           // this slot's decoded batch
-  std::vector<std::uint64_t> res_key_;         // per-bucket packed resource keys
+  std::vector<std::uint32_t> res_key_;         // per-bucket resource keys
   std::vector<double> aud_mw_;                 // per-bucket memoised milliwatts
   // Epoch-marked per-resource chains for the collision prepass: one slot per
-  // (codec, preamble) pool entry, valid only while its epoch tag matches —
-  // no clearing between buckets.
-  static constexpr std::uint32_t kResourceCodecs = 2;
+  // (codec, preamble) pool entry, keyed (codec - 1) * kPreamblePoolSize +
+  // index, valid only while its epoch tag matches — no clearing between
+  // buckets.
   static constexpr std::uint32_t kGroupNil = 0xFFFFFFFFU;
-  static constexpr std::size_t kResourceSlots =
-      static_cast<std::size_t>(kResourceCodecs) * kPreamblePoolSize;
+  static constexpr std::size_t kResourceSlots = 2 * std::size_t{kPreamblePoolSize};
   std::uint64_t group_epoch_ = 0;
   std::uint64_t group_seen_[kResourceSlots] = {};
   std::uint32_t group_head_[kResourceSlots] = {};

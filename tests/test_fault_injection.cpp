@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -86,7 +89,9 @@ TEST(FaultInjector, ChurnStopLeavesAQuietTail) {
   const FaultInjector inj(plan, 10, 120'000, 11);
   ASSERT_FALSE(inj.churn_schedule().empty());
   for (const ChurnEvent& e : inj.churn_schedule()) {
-    if (e.crash) EXPECT_LT(e.slot, 30'000);
+    if (e.crash) {
+      EXPECT_LT(e.slot, 30'000);
+    }
   }
 }
 
@@ -176,35 +181,135 @@ TEST(RadioFaults, DownDeviceNeitherSendsNorReceives) {
 
 TEST(RadioFaults, HookVetoIsCountedAndAttenuationFlowsThrough) {
   sim::Simulator sim;
-  auto channel = phy::make_paper_channel(1);
-  mac::RadioMedium radio(&sim, channel.get());
-  int heard = 0;
+  // Deterministic propagation, so an attenuated power can be compared with
+  // the clear one exactly.
+  phy::Channel channel(phy::RadioParams{}, std::make_unique<phy::PaperDualSlope>(),
+                       std::make_unique<phy::NoShadowing>(),
+                       std::make_unique<phy::NoFading>(), util::Rng(1));
+  mac::RadioMedium radio(&sim, &channel);
+  std::vector<util::Dbm> heard;
   radio.add_device(0, {0.0, 0.0});
   radio.add_device(1, {10.0, 0.0});
   radio.set_delivery_sink([&](const mac::RxBatch& batch) {
     for (std::size_t k = 0; k < batch.count; ++k) {
-      if (batch.records[k].rx_index == 1) ++heard;
+      if (batch.records[k].rx_index == 1) heard.push_back(batch.records[k].rx_power);
     }
   });
-  bool veto = true;
-  radio.set_fault_hook([&](std::uint32_t, std::uint32_t, mac::PsType, util::Dbm power)
-                           -> std::optional<util::Dbm> {
-    if (veto) return std::nullopt;
-    return power;  // pass through unchanged
-  });
-  sim.schedule_at(sim::SimTime::zero(), [&] {
-    radio.broadcast(0, {mac::RachCodec::kRach1, 0}, mac::PsType::kSyncPulse, 0);
-  });
-  sim.run_until(sim::SimTime::milliseconds(2));
-  EXPECT_EQ(heard, 0);
+  std::optional<util::Db> verdict;  // nullopt = veto
+  radio.set_fault_hook([&](std::uint32_t, std::uint32_t, mac::PsType) { return verdict; });
+  const auto send_one = [&] {
+    sim.schedule_at(sim.now(), [&] {
+      radio.broadcast(0, {mac::RachCodec::kRach1, 0}, mac::PsType::kSyncPulse, 0);
+    });
+    sim.run();
+  };
+  send_one();
+  EXPECT_TRUE(heard.empty());
   EXPECT_EQ(radio.counters().fault_drops, 1U);
-  veto = false;
-  sim.schedule_at(sim.now(), [&] {
-    radio.broadcast(0, {mac::RachCodec::kRach1, 0}, mac::PsType::kSyncPulse, 0);
-  });
-  sim.run();
-  EXPECT_EQ(heard, 1);
+
+  verdict = util::Db{0.0};  // clear link: the power passes through unchanged
+  send_one();
+  ASSERT_EQ(heard.size(), 1U);
   EXPECT_EQ(radio.counters().fault_drops, 1U);
+  const util::Dbm clear = heard[0];
+  EXPECT_EQ(clear.value, channel.mean_received_power(0, {0.0, 0.0}, 1, {10.0, 0.0}).value);
+
+  verdict = util::Db{3.0};  // the radio applies the attenuation itself
+  send_one();
+  ASSERT_EQ(heard.size(), 2U);
+  EXPECT_EQ(heard[1].value, (clear - util::Db{3.0}).value);
+  EXPECT_EQ(radio.counters().fault_drops, 1U);
+
+  verdict = util::Db{200.0};  // faded below threshold: a fault drop, not a miss
+  send_one();
+  EXPECT_EQ(heard.size(), 2U);
+  EXPECT_EQ(radio.counters().fault_drops, 2U);
+}
+
+TEST(RadioFaults, MemoisedSweepMatchesFullScanUnderFaultHook) {
+  // The memoised scalar sweep skips the fading math for provably
+  // sub-threshold candidates but must still call the fault hook once per
+  // candidate, in order, and count the same drops as the add_audible full
+  // scan.  Rayleigh fading and no shadowing: both paths consume the same
+  // fading stream once every pair is a candidate.  The hook draws its own
+  // drop stream, so a missing, extra or reordered call changes the result.
+  struct Run {
+    std::vector<mac::RxRecord> records;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> hook_calls;
+    mac::TrafficCounters counters;
+  };
+  constexpr std::uint32_t kN = 12;
+  const auto run = [&](bool use_cache) {
+    Run out;
+    sim::Simulator sim;
+    phy::Channel channel(phy::RadioParams{}, std::make_unique<phy::PaperDualSlope>(),
+                         std::make_unique<phy::NoShadowing>(),
+                         std::make_unique<phy::RayleighFading>(), util::Rng(9));
+    mac::RadioMedium radio(&sim, &channel);
+    // A 10 m-pitch line: near pairs are audible in most fades, the far end
+    // (~110 m, beyond the ~89 m median range) is sub-threshold in most.
+    for (std::uint32_t id = 0; id < kN; ++id) {
+      radio.add_device(id, {10.0 * id, 0.0});
+    }
+    if (use_cache) {
+      radio.rebuild();
+      std::size_t pairs = 0;
+      radio.for_each_candidate_pair([&](std::uint32_t, std::uint32_t, util::Dbm) { ++pairs; });
+      EXPECT_EQ(pairs, kN * (kN - 1) / 2) << "every pair must be a candidate";
+    }
+    radio.set_down(4, true);  // crashed receiver: no draw, no hook call
+    radio.set_delivery_sink([&](const mac::RxBatch& batch) {
+      out.records.insert(out.records.end(), batch.records, batch.records + batch.count);
+    });
+    util::Rng drop_rng(3);
+    radio.set_fault_hook([&](std::uint32_t sender, std::uint32_t receiver,
+                             mac::PsType) -> std::optional<util::Db> {
+      out.hook_calls.emplace_back(sender, receiver);
+      if (drop_rng.bernoulli(0.1)) return std::nullopt;     // random drop
+      if (sender == 2 && receiver == 7) return std::nullopt;  // vetoed link
+      if (sender == 6 || receiver == 6) return util::Db{8.0};  // attenuated
+      // The 0 <-> 11 link (110 m) is already below threshold in most fades.
+      if ((sender == 0 && receiver == 11) || (sender == 11 && receiver == 0)) {
+        return util::Db{20.0};
+      }
+      return util::Db{0.0};
+    });
+    for (std::int64_t slot = 0; slot < 40; ++slot) {
+      sim.schedule_at(sim::SimTime::milliseconds(slot), [&, slot] {
+        for (std::uint32_t id = 0; id < kN; ++id) {
+          if (id == 4) continue;
+          // Both codecs on a three-preamble pool: many same-resource groups.
+          const auto codec = (id + static_cast<std::uint32_t>(slot)) % 2 == 0
+                                 ? mac::RachCodec::kRach1
+                                 : mac::RachCodec::kRach2;
+          radio.broadcast(id, {codec, id % 3}, mac::PsType::kSyncPulse, id);
+        }
+      });
+    }
+    sim.run();
+    out.counters = radio.counters();
+    return out;
+  };
+  const Run scan = run(false);
+  const Run cached = run(true);
+  EXPECT_GT(scan.counters.fault_drops, 0U);
+  EXPECT_GT(scan.counters.collisions, 0U);
+  EXPECT_GT(scan.counters.deliveries, 0U);
+  EXPECT_EQ(cached.counters.fault_drops, scan.counters.fault_drops);
+  EXPECT_EQ(cached.counters.collisions, scan.counters.collisions);
+  EXPECT_EQ(cached.counters.deliveries, scan.counters.deliveries);
+  EXPECT_EQ(cached.hook_calls, scan.hook_calls);
+  ASSERT_EQ(cached.records.size(), scan.records.size());
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    const mac::RxRecord& a = scan.records[i];
+    const mac::RxRecord& b = cached.records[i];
+    EXPECT_EQ(b.sender, a.sender) << "record " << i;
+    EXPECT_EQ(b.rx_index, a.rx_index) << "record " << i;
+    EXPECT_EQ(b.preamble, a.preamble) << "record " << i;
+    EXPECT_EQ(b.payload, a.payload) << "record " << i;
+    EXPECT_EQ(b.rx_power.value, a.rx_power.value) << "record " << i;
+    EXPECT_EQ(b.slot_start.us, a.slot_start.us) << "record " << i;
+  }
 }
 
 // Exposes the protected stepping interface for lifecycle tests.

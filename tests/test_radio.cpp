@@ -89,18 +89,20 @@ TEST(Radio, SubThresholdReceiverHearsNothing) {
 }
 
 TEST(Radio, SameResourceSameSlotCollides) {
-  World w;
-  // Two equidistant senders on the SAME preamble: neither captures.
-  w.add(0, {0.0, 0.0});
-  w.add(1, {20.0, 0.0});
-  w.add(2, {10.0, 0.0});  // receiver in the middle
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
-    w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 0);
-    w.radio->broadcast(1, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 0);
-  });
-  w.sim.run();
-  EXPECT_TRUE(w.inbox[2].empty());
-  EXPECT_EQ(w.radio->counters().collisions, 2U);
+  for (const RachCodec codec : {RachCodec::kRach1, RachCodec::kRach2}) {
+    World w;
+    // Two equidistant senders on the SAME preamble: neither captures.
+    w.add(0, {0.0, 0.0});
+    w.add(1, {20.0, 0.0});
+    w.add(2, {10.0, 0.0});  // receiver in the middle
+    w.sim.schedule_at(sim::SimTime::zero(), [&] {
+      w.radio->broadcast(0, {codec, 7}, PsType::kSyncPulse, 0);
+      w.radio->broadcast(1, {codec, 7}, PsType::kSyncPulse, 0);
+    });
+    w.sim.run();
+    EXPECT_TRUE(w.inbox[2].empty()) << mac::to_string(codec);
+    EXPECT_EQ(w.radio->counters().collisions, 2U) << mac::to_string(codec);
+  }
 }
 
 TEST(Radio, DifferentPreamblesDoNotCollide) {
@@ -131,19 +133,46 @@ TEST(Radio, DifferentCodecsAreOrthogonal) {
 }
 
 TEST(Radio, CaptureEffectDecodesTheStrongSignal) {
-  World w(3.0);
-  w.add(0, {9.0, 0.0});    // 1 m from the receiver: strong
-  w.add(1, {60.0, 10.0});  // far away: weak interferer
-  w.add(2, {10.0, 0.0});
+  for (const RachCodec codec : {RachCodec::kRach1, RachCodec::kRach2}) {
+    World w(3.0);
+    w.add(0, {9.0, 0.0});    // 1 m from the receiver: strong
+    w.add(1, {60.0, 10.0});  // far away: weak interferer
+    w.add(2, {10.0, 0.0});
+    w.sim.schedule_at(sim::SimTime::zero(), [&] {
+      w.radio->broadcast(0, {codec, 7}, PsType::kSyncPulse, 111);
+      w.radio->broadcast(1, {codec, 7}, PsType::kSyncPulse, 222);
+    });
+    w.sim.run();
+    // The strong one captures; the weak one is lost (collision counted).
+    ASSERT_EQ(w.inbox[2].size(), 1U) << mac::to_string(codec);
+    EXPECT_EQ(w.inbox[2][0].payload, 111U) << mac::to_string(codec);
+    EXPECT_EQ(w.radio->counters().collisions, 1U) << mac::to_string(codec);
+  }
+}
+
+TEST(Radio, MixedCodecBucketCollidesOnlyWithinItsCodec) {
+  // One receiver hears RACH1 #7 and two RACH2 #7 in the same slot.  The two
+  // codecs map to disjoint collision resources: the RACH2 pair collides,
+  // the RACH1 entry decodes untouched.
+  World w;
+  w.add(0, {0.0, 0.0});
+  w.add(1, {20.0, 0.0});
+  w.add(2, {10.0, 10.0});
+  w.add(3, {10.0, 0.0});  // receiver
   w.sim.schedule_at(sim::SimTime::zero(), [&] {
-    w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 111);
-    w.radio->broadcast(1, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 222);
+    w.radio->broadcast(0, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 0);
+    w.radio->broadcast(2, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 33);
+    w.radio->broadcast(1, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 0);
   });
   w.sim.run();
-  // The strong one captures; the weak one is lost (collision counted).
-  ASSERT_EQ(w.inbox[2].size(), 1U);
-  EXPECT_EQ(w.inbox[2][0].payload, 111U);
-  EXPECT_EQ(w.radio->counters().collisions, 1U);
+  ASSERT_EQ(w.inbox[3].size(), 1U);
+  EXPECT_EQ(w.inbox[3][0].sender, 2U);
+  EXPECT_EQ(w.inbox[3][0].preamble.codec, RachCodec::kRach1);
+  EXPECT_EQ(w.inbox[3][0].payload, 33U);
+  // The RACH1 sender sits on the same bisector, so the RACH2 pair collides
+  // there too: two collisions per receiver, none charged to RACH1.
+  EXPECT_TRUE(w.inbox[2].empty());
+  EXPECT_EQ(w.radio->counters().collisions, 4U);
 }
 
 TEST(Radio, CountersByCodec) {

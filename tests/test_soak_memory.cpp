@@ -1,8 +1,9 @@
 // The bounded-memory gate for service-mode soaks: a million-slot churn soak
 // must reach a steady state where neither the process heap nor the scheduler
-// arena grows.  The test-global operator new/delete below count net
-// outstanding bytes (a 16-byte size header per allocation keeps the
-// accounting exact under ASan, which intercepts the underlying malloc), the
+// arena grows.  The test-global operator new/delete below (throwing and
+// nothrow forms alike) count net outstanding bytes (a 16-byte size header
+// per allocation keeps the accounting exact under ASan, which intercepts
+// the underlying malloc), the
 // soak warms up for 400k slots, and the remaining 600k slots must finish
 // with net heap growth of exactly zero and an unchanged arena high-water
 // mark.  Everything is seeded, so the assertion is deterministic, not a
@@ -23,18 +24,34 @@
 namespace {
 std::atomic<long long> g_outstanding_bytes{0};
 constexpr std::size_t kHeader = 16;  // keeps malloc's 16-byte alignment
-}  // namespace
 
-void* operator new(std::size_t size) {
+// Every replaced allocation form goes through here, so every pointer the
+// replaced deletes see carries the size header.  The nothrow forms matter:
+// std::stable_sort's temporary buffer uses them, and under ASan their
+// default versions bypass the throwing operator new.
+void* counted_alloc(std::size_t size) noexcept {
   void* raw = std::malloc(size + kHeader);
-  if (raw == nullptr) throw std::bad_alloc();
+  if (raw == nullptr) return nullptr;
   *static_cast<std::size_t*>(raw) = size;
   g_outstanding_bytes.fetch_add(static_cast<long long>(size),
                                 std::memory_order_relaxed);
   return static_cast<char*>(raw) + kHeader;
 }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  void* p = counted_alloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
 
 void operator delete(void* p) noexcept {
   if (p == nullptr) return;
@@ -47,6 +64,8 @@ void operator delete(void* p) noexcept {
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { ::operator delete(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { ::operator delete(p); }
 
 namespace {
 

@@ -82,13 +82,13 @@ TEST(StFaults, ConnectRetriesAreCappedAndHeadshipMovesOn) {
   engine.set_trace(&sink);
 
   engine.radio().set_fault_hook(
-      [](std::uint32_t sender, std::uint32_t receiver, mac::PsType type,
-         util::Dbm power) -> std::optional<util::Dbm> {
+      [](std::uint32_t sender, std::uint32_t receiver,
+         mac::PsType type) -> std::optional<util::Db> {
         const bool fragment_control = type == mac::PsType::kConnectRequest ||
                                       type == mac::PsType::kConnectAccept ||
                                       type == mac::PsType::kMergeAnnounce;
         if (fragment_control && (sender == 2 || receiver == 2)) return std::nullopt;
-        return power;
+        return util::Db{0.0};  // no attenuation
       });
 
   engine.start_run();
