@@ -5,10 +5,11 @@
 // speed change from quietly moving the science: any ULP of divergence in
 // any field, or any shift in event or RNG-draw order, changes the digest.
 //
-// Scenarios: every registered backend on a static fixed-area deployment; ST,
-// FST and DESYNC on the density-scaled paper deployment; ST with mobility;
-// ST and DESYNC under fault injection; the other backends under churn; and
-// the service-mode snapshot → restore → run-to-end path for every backend.
+// Scenarios: every registered backend on a static fixed-area deployment; ST
+// and FST with duty-cycled receivers; ST, FST and DESYNC on the
+// density-scaled paper deployment; ST with mobility; ST and DESYNC under
+// fault injection; the other backends under churn; and the service-mode
+// snapshot → restore → run-to-end path for every backend.
 //
 // The digests live in golden_metrics.hpp, shared with the layout, scheduler
 // and spatial suites.  A mismatch prints the full JSON record.
@@ -18,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -122,6 +124,19 @@ TEST(GoldenMetrics, OtherBackendsUnderChurn) {
   desync.seed = 7006;
   desync.protocol.faults.drop_probability = 0.05;
   expect_golden("churn/desync-drops", core::run_trial(core::Protocol::kDesync, desync));
+}
+
+TEST(GoldenMetrics, DutyCycledFixedArea) {
+  // Receivers listen 30 slots out of every 100: the listening gate decides,
+  // per candidate and slot, which receivers draw a fade at all.
+  for (const auto& [key, protocol] : {std::pair{"duty/st", core::Protocol::kSt},
+                                      std::pair{"duty/fst", core::Protocol::kFst}}) {
+    core::ScenarioConfig config = fixed_area(50, 8106);
+    config.protocol.max_periods = 60;
+    config.protocol.duty_awake_slots = 30;
+    config.protocol.duty_period_slots = 100;
+    expect_golden(key, core::run_trial(protocol, config));
+  }
 }
 
 TEST(GoldenMetrics, ServiceSnapshotRestoreEveryBackend) {
