@@ -169,8 +169,8 @@ void BM_RadioSlotFlush(benchmark::State& state) {
   // One slot with `txs` simultaneous broadcasts into a 200-device network:
   // the protocol hot path.  `rach2` = 1 puts every other broadcast on the
   // H_Connect codec, so buckets mix both RACH pools; `fault` = 1 installs a
-  // drop/fade hook like the engine's, which moves delivery onto the
-  // memoised scalar sweep.
+  // drop/fade hook like the engine's, which the sweep calls once per
+  // candidate.
   const auto txs = static_cast<std::size_t>(state.range(0));
   const bool mixed = state.range(1) != 0;
   const bool faulted = state.range(2) != 0;
@@ -214,9 +214,9 @@ BENCHMARK(BM_RadioSlotFlush)
     ->Args({128, 1, 1});
 
 void BM_RadioBatchedDeliverySweep(benchmark::State& state) {
-  // The batched SoA delivery path at scale: a 1000-device network, `txs`
-  // broadcasts per slot, no faults/duty/downs so the one-fill-per-sender
-  // sweep is active.  Compare against BM_RadioSlotFlush for the small-N
+  // The batched SoA delivery sweep at scale: a 1000-device network, `txs`
+  // broadcasts per slot, no faults/duty/downs so every candidate slice is
+  // read in place.  Compare against BM_RadioSlotFlush for the small-N
   // constant.
   const auto txs = static_cast<std::size_t>(state.range(0));
   sim::Simulator sim;

@@ -255,10 +255,9 @@ void EngineBase::mobility_step() {
   }
   // Large-scale state changed: link shadowing decorrelates and the
   // memoised means are stale.  Cell membership already tracked the moves
-  // incrementally inside move_device; rebuild() re-enumerates candidates
-  // from the maintained grid.
+  // incrementally inside move_device; the radio's next flush re-enumerates
+  // candidates from the maintained grid.
   channel_->shadowing().invalidate();
-  radio_.rebuild();
 }
 
 void EngineBase::check_convergence() {

@@ -352,6 +352,9 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
 ServiceReport run_service_trial(Protocol protocol, const ScenarioConfig& config,
                                 const ServiceConfig& service, const RunHooks& hooks,
                                 sim::SoakRecorder* recorder) {
+  ServiceReport rejected;
+  rejected.error = validate(config);
+  if (!rejected.ok()) return rejected;
   std::vector<geo::Vec2> positions = deploy(config);
   std::unique_ptr<EngineBase> engine = proto::Registry::instance().make(
       protocol, std::move(positions), config.protocol, config.radio, config.seed);

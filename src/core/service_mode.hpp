@@ -123,7 +123,8 @@ struct EngineSnapshot {
 
 /// Deploy the scenario and run one service soak of the chosen protocol,
 /// streaming windows through `recorder` (may be null).  The service-mode
-/// analogue of run_trial.
+/// analogue of run_trial.  A config that fails `validate` is rejected with
+/// its message in `ServiceReport::error` before anything is deployed.
 [[nodiscard]] ServiceReport run_service_trial(Protocol protocol,
                                               const ScenarioConfig& config,
                                               const ServiceConfig& service,

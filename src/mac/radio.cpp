@@ -38,7 +38,7 @@ void RadioMedium::add_device(std::uint32_t id, geo::Vec2 position, ListenFn list
   devices_.push_back(DeviceEntry{id, position, std::move(listening)});
   if (devices_.back().listening) any_listening_ = true;
   down_.push_back(0);
-  invalidate();
+  cache_stale_ = true;
   grid_ready_ = false;  // population changed: next rebuild re-seeds the grid
 }
 
@@ -70,10 +70,10 @@ void RadioMedium::move_device(std::uint32_t id, geo::Vec2 position) {
   const std::size_t idx = index_of(id);
   devices_[idx].position = position;
   // Cell membership tracks the move incrementally; the memoised means are
-  // stale until the caller rebuilds (mobility steps move every device,
-  // then rebuild once).
+  // stale until the next flush rebuilds them (mobility steps move every
+  // device, so one rebuild covers the whole step).
   if (grid_ready_) grid_.move(idx, position);
-  invalidate();
+  cache_stale_ = true;
 }
 
 geo::Vec2 RadioMedium::device_position(std::uint32_t id) const {
@@ -86,21 +86,18 @@ void RadioMedium::admit_candidate(std::size_t u, std::size_t v, util::Dbm mean,
   // Fading headroom of the link.  Gains strictly below skip_gain provably
   // leave the reception sub-threshold (1e-9 dB of slack absorbs pow/log
   // rounding); borderline gains fall through to the exact dBm comparison,
-  // so the fast path decides bit-identically with the full scan.  When the
-  // headroom exceeds the fade-loss cap the link is audible in any fade.
+  // so the skip decides bit-identically with a full channel evaluation.
+  // When the headroom exceeds the fade-loss cap the link is audible in any
+  // fade (skip_gain 0, whose u-space bound is never reached).
   const double headroom_db = (mean - channel_->params().detection_threshold).value;
   const double max_loss_db = -10.0 * std::log10(phy::FadingModel::kGainFloor);
   double skip_gain = 0.0;
   if (headroom_db < max_loss_db) {
     skip_gain = std::pow(10.0, -(headroom_db + 1e-9) / 10.0);
   }
-  // u-space form of the same bound (2.0 = never skip when the fading model
-  // offers no uniform shortcut; skip_gain 0 maps to skip_u > 1 likewise).
-  const double skip_u =
-      uniform_skip_ ? channel_->fading().skip_u(skip_gain) : 2.0;
   pair_scratch_.push_back(PairRec{static_cast<std::uint32_t>(u),
                                   static_cast<std::uint32_t>(v), mean.value,
-                                  skip_gain, skip_u});
+                                  channel_->fading().skip_u(skip_gain)});
 }
 
 void RadioMedium::scatter_candidates() {
@@ -114,7 +111,6 @@ void RadioMedium::scatter_candidates() {
   const std::size_t total = cand_offsets_[n];
   cand_rx_.resize(total);
   cand_mean_.resize(total);
-  cand_skip_gain_.resize(total);
   cand_skip_u_.resize(total);
   cand_cursor_.assign(cand_offsets_.begin(), cand_offsets_.end() - 1);
   // Scatter in admission order.  Pairs are admitted with u ascending and v
@@ -125,30 +121,30 @@ void RadioMedium::scatter_candidates() {
     const std::size_t ku = cand_cursor_[p.u]++;
     cand_rx_[ku] = p.v;
     cand_mean_[ku] = p.mean_dbm;
-    cand_skip_gain_[ku] = p.skip_gain;
     cand_skip_u_[ku] = p.skip_u;
     const std::size_t kv = cand_cursor_[p.v]++;
     cand_rx_[kv] = p.u;
     cand_mean_[kv] = p.mean_dbm;
-    cand_skip_gain_[kv] = p.skip_gain;
     cand_skip_u_[kv] = p.skip_u;
   }
 }
 
-void RadioMedium::rebuild(double fading_margin_db) {
+void RadioMedium::rebuild() {
+  constexpr double kMarginDb = phy::RadioParams::kCandidateFadingMarginDb;
   const std::size_t n = devices_.size();
   pair_scratch_.clear();
-  const util::Dbm cutoff = channel_->params().detection_threshold - util::Db{fading_margin_db};
-  uniform_skip_ = channel_->fading().supports_uniform_skip();
+  const util::Dbm cutoff = channel_->params().detection_threshold - util::Db{kMarginDb};
 
   // Grid-indexed enumeration.  The range bound holds because candidate
   // admission needs mean >= cutoff, i.e. PL(d) <= tx − threshold + margin +
-  // max shadowing gain — exactly max_detectable_range(margin).  Gathered
-  // cells are a superset of that disc; the cutoff test is the only filter,
-  // so the cache equals a brute-force all-pairs enumeration
-  // (test_spatial_equivalence checks it pair for pair).
-  const double range = channel_->max_detectable_range(fading_margin_db);
-  if (std::isfinite(range) && range > 0.0 && n > 1) {
+  // max shadowing gain — exactly max_detectable_range(margin), finite for
+  // every shadowing model.  Gathered cells are a superset of that disc; the
+  // cutoff test is the only filter, so the cache equals a brute-force
+  // all-pairs enumeration (test_spatial_equivalence checks it pair for
+  // pair).
+  const double range = channel_->max_detectable_range(kMarginDb);
+  assert(std::isfinite(range) && range > 0.0);
+  if (n > 1) {
     if (!grid_ready_) {
       std::vector<geo::Vec2> positions(n);
       for (std::size_t i = 0; i < n; ++i) positions[i] = devices_[i].position;
@@ -167,21 +163,9 @@ void RadioMedium::rebuild(double fading_margin_db) {
         admit_candidate(u, v, mean, cutoff);
       }
     }
-  } else {
-    // Unbounded shadowing (no finite detectable range) or a degenerate
-    // world: nothing to prune spatially, so enumerate all pairs.  This is
-    // the only path for unbounded shadowing models; the memoised delivery
-    // sweeps still apply.
-    for (std::size_t u = 0; u < n; ++u) {
-      for (std::size_t v = u + 1; v < n; ++v) {
-        const util::Dbm mean = channel_->mean_received_power_uncached(
-            devices_[u].id, devices_[u].position, devices_[v].id, devices_[v].position);
-        admit_candidate(u, v, mean, cutoff);
-      }
-    }
   }
   scatter_candidates();
-  cache_valid_ = true;
+  cache_stale_ = false;
 }
 
 void RadioMedium::broadcast(std::uint32_t sender, Preamble preamble, PsType type,
@@ -208,118 +192,99 @@ void RadioMedium::ensure_flush_scheduled() {
   sim_->schedule_at(boundary, [this] { flush_slot(); });
 }
 
-void RadioMedium::add_audible(std::size_t rx_index, const PendingTx& tx) {
-  const DeviceEntry& rx = devices_[rx_index];
-  if (tx.sender == rx.id) return;  // half-duplex: no self-reception
-  if (down_[rx_index] != 0) return;  // crashed receiver hears nothing
-  if (rx.listening && !rx.listening()) return;  // duty-cycled receiver asleep
-  const geo::Vec2 tx_pos = devices_[index_of(tx.sender)].position;
-  util::Dbm power = channel_->received_power(tx.sender, tx_pos, rx.id, rx.position);
-  if (fault_ && !fault_admits(tx, rx.id, power)) return;
-  if (!channel_->detectable(power)) return;
-  if (buckets_[rx_index].empty()) touched_.push_back(rx_index);
-  buckets_[rx_index].push_back(Audible{&tx, power});
-}
-
-bool RadioMedium::fault_admits(const PendingTx& tx, std::uint32_t rx_id, util::Dbm& power) {
-  const std::optional<util::Db> attenuation = fault_(tx.sender, rx_id, tx.type);
-  if (!attenuation.has_value()) {
-    ++counters_.fault_drops;
-    return false;
-  }
-  assert(attenuation->value >= 0.0 && "a fault hook attenuates, never amplifies");
-  if (attenuation->value > 0.0) {
-    power = power - *attenuation;
-    // A faded-below-threshold reception is a fault drop, not an ordinary
-    // out-of-range miss.
-    if (!channel_->detectable(power)) {
-      ++counters_.fault_drops;
-      return false;
-    }
-  }
-  return true;
-}
-
-void RadioMedium::fault_sub_threshold(const PendingTx& tx, std::uint32_t rx_id) {
-  // The unattenuated power is already below threshold, so any attenuation
-  // keeps it there: fault_admits would count exactly these cases as drops.
-  const std::optional<util::Db> attenuation = fault_(tx.sender, rx_id, tx.type);
-  if (!attenuation.has_value() || attenuation->value > 0.0) ++counters_.fault_drops;
-}
-
-void RadioMedium::deliver_fused() {
-  // All delivery gates are static this slot (no faults, no duty cycling, no
-  // crashed devices), so every candidate draws exactly one fade: one batched
-  // RNG fill per sender, then a branch-free compare sweep over the skip
-  // bounds.  The uniform sequence and the survivor set match the scalar
-  // path draw for draw — deliver_memoised_scalar() is the reference.
+void RadioMedium::deliver_candidates() {
+  // One memoised sweep per transmission over the sender's candidate slice
+  // (ascending receiver index; the cached mean replaces path loss and
+  // shadowing):
+  //   1. gate: skip crashed and sleeping receivers;
+  //   2. draw one fading uniform per gated candidate, in one batched fill;
+  //   3. survivors: the u < skip_u compare, which discards provably
+  //      sub-threshold fades before paying the gain transform;
+  //   4. fault hook: once per gated candidate, in candidate order;
+  //   5. admit the survivors whose exact faded power clears the threshold.
+  // Gating before the draw is what makes the fading stream one draw per
+  // gated candidate in candidate order; drawing a whole slice's fades ahead
+  // of its hook calls is safe by the FaultFn contract.  With no crash and
+  // no duty cycle live the gated set is the slice itself, read in place.
+  const bool gating = down_count_ != 0 || any_listening_;
   for (const PendingTx& tx : flushing_) {
     const std::size_t s = index_of(tx.sender);
     const std::size_t begin = cand_offsets_[s];
     const std::size_t m = cand_offsets_[s + 1] - begin;
-    if (m == 0) continue;
     if (fade_u_.size() < m) {
       fade_u_.resize(m);
       survivors_.resize(m);
     }
-    channel_->fill_fading_uniforms(fade_u_.data(), m);
     const double* skip_u = cand_skip_u_.data() + begin;
-    std::size_t count = 0;
-    for (std::size_t k = 0; k < m; ++k) {
-      survivors_[count] = static_cast<std::uint32_t>(k);
-      count += static_cast<std::size_t>(fade_u_[k] < skip_u[k]);
+    std::size_t g = m;
+    if (gating) {
+      if (gated_.size() < m) {
+        gated_.resize(m);
+        gated_skip_u_.resize(m);
+      }
+      g = 0;
+      for (std::size_t k = 0; k < m; ++k) {
+        const std::uint32_t rxi = cand_rx_[begin + k];
+        if (down_[rxi] != 0) continue;  // crashed receiver hears nothing
+        if (any_listening_) {  // avoid the DeviceEntry load when no gates exist
+          const ListenFn& listening = devices_[rxi].listening;
+          if (listening && !listening()) continue;  // duty-cycled, asleep
+        }
+        gated_[g] = static_cast<std::uint32_t>(k);
+        gated_skip_u_[g] = skip_u[k];
+        ++g;
+      }
+      skip_u = gated_skip_u_.data();
     }
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t k = survivors_[i];
-      const double gain = channel_->fading().gain_from_uniform(fade_u_[k]);
-      const util::Dbm power =
-          util::Dbm{cand_mean_[begin + k]} - phy::FadingModel::loss_from_gain(gain);
-      if (!channel_->detectable(power)) continue;  // borderline fade: exact compare
-      const std::uint32_t rxi = cand_rx_[begin + k];
-      if (buckets_[rxi].empty()) touched_.push_back(rxi);
-      buckets_[rxi].push_back(Audible{&tx, power});
-    }
-  }
-}
+    if (g == 0) continue;
+    channel_->fill_fading_uniforms(fade_u_.data(), g);
 
-void RadioMedium::deliver_memoised_scalar() {
-  // Memoised fast path: the candidate's mean power replaces the per-pair
-  // path-loss + shadowing recomputation, and most sub-threshold fades are
-  // rejected on the raw uniform (or linear gain) alone.  Gate order and the
-  // fading-stream consumption mirror add_audible exactly, and a skipped
-  // candidate still makes its one fault-hook call, so the delivered
-  // receptions and the counters are bit-identical to the full scan's.
-  for (const PendingTx& tx : flushing_) {
-    const std::size_t s = index_of(tx.sender);
-    for (std::size_t k = cand_offsets_[s]; k < cand_offsets_[s + 1]; ++k) {
-      const std::uint32_t rxi = cand_rx_[k];
-      if (down_[rxi] != 0) continue;  // crashed receiver hears nothing
-      if (any_listening_) {  // avoid the DeviceEntry load when no gates exist
-        const DeviceEntry& rx = devices_[rxi];
-        if (rx.listening && !rx.listening()) continue;  // duty-cycled, asleep
-      }
-      double gain;
-      bool sub_threshold;  // provably below threshold before any fault
-      if (uniform_skip_) {
-        // Raw-uniform shortcut: same single generator step, but the
-        // provably sub-threshold draws never pay the gain transform.
-        const double u = channel_->sample_fading_uniform();
-        sub_threshold = u >= cand_skip_u_[k];
-        gain = sub_threshold ? 0.0 : channel_->fading().gain_from_uniform(u);
-      } else {
-        gain = channel_->sample_fading_gain();
-        sub_threshold = gain < cand_skip_gain_[k];
-      }
-      if (sub_threshold) {
-        if (fault_) fault_sub_threshold(tx, devices_[rxi].id);
-        continue;
-      }
+    // Admit gated position i with the hook's attenuation applied.
+    const auto admit = [&](std::size_t i, double attenuation_db) {
+      const std::size_t k = begin + (gating ? gated_[i] : i);
+      const double gain = channel_->fading().gain_from_uniform(fade_u_[i]);
       util::Dbm power = util::Dbm{cand_mean_[k]} - phy::FadingModel::loss_from_gain(gain);
-      if (fault_ && !fault_admits(tx, devices_[rxi].id, power)) continue;
-      if (!channel_->detectable(power)) continue;
+      if (attenuation_db > 0.0) {
+        power = power - util::Db{attenuation_db};
+        // A faded-below-threshold reception is a fault drop, not an
+        // ordinary out-of-range miss.
+        if (!channel_->detectable(power)) {
+          ++counters_.fault_drops;
+          return;
+        }
+      }
+      if (!channel_->detectable(power)) return;  // borderline fade: exact compare
+      const std::uint32_t rxi = cand_rx_[k];
       if (buckets_[rxi].empty()) touched_.push_back(rxi);
       buckets_[rxi].push_back(Audible{&tx, power});
+    };
+
+    if (fault_) {
+      for (std::size_t i = 0; i < g; ++i) {
+        const std::uint32_t rxi = cand_rx_[begin + (gating ? gated_[i] : i)];
+        const std::optional<util::Db> attenuation = fault_(tx.sender, devices_[rxi].id, tx.type);
+        if (!attenuation.has_value()) {
+          ++counters_.fault_drops;
+          continue;
+        }
+        assert(attenuation->value >= 0.0 && "a fault hook attenuates, never amplifies");
+        if (fade_u_[i] >= skip_u[i]) {
+          // Already provably sub-threshold, and an attenuation keeps it
+          // there: a fault drop if the fault acted, an ordinary miss if not.
+          if (attenuation->value > 0.0) ++counters_.fault_drops;
+          continue;
+        }
+        admit(i, attenuation->value);
+      }
+      continue;
     }
+    // No hook: a branch-free compare compacts the survivors first.
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < g; ++i) {
+      survivors_[count] = static_cast<std::uint32_t>(i);
+      count += static_cast<std::size_t>(fade_u_[i] < skip_u[i]);
+    }
+    for (std::size_t j = 0; j < count; ++j) admit(survivors_[j], 0.0);
   }
 }
 
@@ -399,6 +364,7 @@ void RadioMedium::flush_slot() {
   flushing_.clear();
   flushing_.swap(pending_);
   if (flushing_.empty()) return;
+  if (cache_stale_) rebuild();
   const obs::ScopedTimer span(telemetry_, obs::SpanId::kSlotDelivery,
                               telemetry_ != nullptr ? sim_->now().as_milliseconds() : -1.0);
   if (telemetry_ != nullptr) {
@@ -408,36 +374,7 @@ void RadioMedium::flush_slot() {
 
   if (buckets_.size() < devices_.size()) buckets_.resize(devices_.size());
   touched_.clear();
-
-  // Pick the cheapest delivery sweep whose gates hold.  Every rung is
-  // chosen from observable run state, never from a user option:
-  //   * deliver_fused needs every per-candidate gate statically off (no
-  //     fault hook, no duty cycling, no crashed device) and the u-space
-  //     fading skip.  Fault-free trials and sweeps run here (the
-  //     benchmark's fig3-sweep workload).
-  //   * deliver_memoised_scalar evaluates the gates per candidate in the
-  //     original order.  Any crash, duty-cycle gate or fault hook lands
-  //     here (the benchmark's churn-soak workload).  The two sweeps cannot
-  //     merge: the fused one draws one uniform per candidate in one batched
-  //     fill, while the scalar one skips the draw for a crashed or sleeping
-  //     receiver, so the fading stream differs once a receiver is down or
-  //     asleep.
-  //   * With no valid cache (engine-less radio tests that never call
-  //     rebuild), add_audible scans every receiver per transmission.  It
-  //     stays as the reference the cache is tested against
-  //     (Radio.CandidateCacheMatchesFullScan).
-  if (!cache_valid_) {
-    for (const PendingTx& tx : flushing_) {
-      for (std::size_t rx_index = 0; rx_index < devices_.size(); ++rx_index) {
-        add_audible(rx_index, tx);
-      }
-    }
-  } else if (uniform_skip_ && !fault_ && !any_listening_ && down_count_ == 0) {
-    deliver_fused();
-  } else {
-    deliver_memoised_scalar();
-  }
-
+  deliver_candidates();
   resolve_receivers();
   // Hand the slot's whole decoded batch to the owner in one call.  Protocol
   // reactions run here, sequentially in record order; broadcasts they issue

@@ -79,7 +79,7 @@ class RadioMedium {
   using ListenFn = std::function<bool()>;
   /// Channel-fault hook (fault-injection runs): called exactly once per
   /// candidate (tx, rx) pair that passes the down and duty-cycle gates, in
-  /// sweep order, whether or not the faded power could be detectable.
+  /// candidate order, whether or not the faded power could be detectable.
   /// Returns the link's extra attenuation (>= 0 dB), or nullopt to veto the
   /// reception at this receiver outright.  The radio applies the
   /// attenuation itself: a veto, or an attenuation > 0 that leaves the
@@ -91,6 +91,12 @@ class RadioMedium {
   /// hook's own random draws stay in order) and is a fault drop exactly
   /// when the hook vetoes or attenuates.  A veto is a per-receiver decode
   /// failure; the transmission still reaches other receivers normally.
+  ///
+  /// The radio draws a transmission's fades in one batch *before* it calls
+  /// the hook for that transmission's candidates.  The hook must therefore
+  /// not draw from the channel's fading stream (nor read anything the
+  /// fades change); the engine's hook draws only the fault injector's own
+  /// drop stream, so neither stream depends on that interleaving.
   using FaultFn = std::function<std::optional<util::Db>(std::uint32_t sender,
                                                         std::uint32_t receiver, PsType type)>;
 
@@ -126,30 +132,25 @@ class RadioMedium {
   void broadcast(std::uint32_t sender, Preamble preamble, PsType type, std::uint64_t payload);
 
   /// Rebuild the candidate cache: for every device, the receivers whose
-  /// slot-averaged power is within `fading_margin_db` of being detectable,
-  /// with that mean memoised so delivery never recomputes path loss or
-  /// shadowing.  Enumeration is grid-indexed (O(N·k) cell queries keyed by
-  /// the channel's max detectable range; all pairs when shadowing makes the
-  /// range unbounded) and yields exactly the pairs an all-pairs scan would
-  /// admit, in the same order.  The cache
-  /// is stored structure-of-arrays (one flat `ids`/`mean`/`skip` array per
+  /// slot-averaged power is within `kCandidateFadingMarginDb` of being
+  /// detectable, with that mean memoised so delivery never recomputes path
+  /// loss or shadowing.  Enumeration is grid-indexed (O(N·k) cell queries
+  /// keyed by the channel's max detectable range) and yields exactly the
+  /// pairs an all-pairs scan would admit, in the same order.  The cache is
+  /// stored structure-of-arrays (one flat `ids`/`mean`/`skip` array per
   /// field, prefix-offset indexed per sender) so a slot flush sweeps
-  /// contiguous memory.  Call after registering devices and after
-  /// `invalidate`.
-  void rebuild(double fading_margin_db = phy::RadioParams::kCandidateFadingMarginDb);
-  /// Mark the candidate cache stale.  Delivery falls back to a full
-  /// per-slot scan until the next `rebuild` (`add_device` and `move_device`
-  /// invalidate implicitly; mobility steps rebuild right after moving).
-  void invalidate() { cache_valid_ = false; }
-  [[nodiscard]] bool cache_valid() const { return cache_valid_; }
+  /// contiguous memory.  `add_device` and `move_device` mark the cache
+  /// stale and the next slot flush rebuilds it; call this directly to read
+  /// `for_each_candidate_pair` before any slot has flushed.
+  void rebuild();
 
   /// Visit every cached candidate pair once as fn(id_u, id_v, mean_dbm)
   /// with index(id_u) < index(id_v), in deterministic index-lexicographic
-  /// order.  Requires a valid cache.  The engine derives reliable links
-  /// from this instead of a second O(N²) channel sweep.
+  /// order.  Requires a current cache (`rebuild`).  The engine derives
+  /// reliable links from this instead of a second O(N²) channel sweep.
   template <typename Fn>
   void for_each_candidate_pair(Fn&& fn) const {
-    assert(cache_valid_);
+    assert(!cache_stale_);
     for (std::size_t u = 0; u + 1 < cand_offsets_.size(); ++u) {
       for (std::size_t k = cand_offsets_[u]; k < cand_offsets_[u + 1]; ++k) {
         if (cand_rx_[k] <= u) continue;
@@ -228,7 +229,6 @@ class RadioMedium {
   struct PairRec {
     std::uint32_t u, v;
     double mean_dbm;
-    double skip_gain;
     double skip_u;
   };
 
@@ -237,14 +237,7 @@ class RadioMedium {
   [[nodiscard]] std::size_t index_of(std::uint32_t id) const;
   void admit_candidate(std::size_t u, std::size_t v, util::Dbm mean, util::Dbm cutoff);
   void scatter_candidates();
-  void deliver_fused();
-  void deliver_memoised_scalar();
-  void add_audible(std::size_t rx_index, const PendingTx& tx);
-  /// Apply the fault hook to one reception of `power`; false = fault drop.
-  bool fault_admits(const PendingTx& tx, std::uint32_t rx_id, util::Dbm& power);
-  /// Fault hook for a candidate whose fade is provably sub-threshold: it is
-  /// a fault drop on a veto or any attenuation, an ordinary miss otherwise.
-  void fault_sub_threshold(const PendingTx& tx, std::uint32_t rx_id);
+  void deliver_candidates();
   void resolve_receivers();
 
   sim::Simulator* sim_;
@@ -253,9 +246,9 @@ class RadioMedium {
   std::vector<DeviceEntry> devices_;
   std::vector<std::size_t> id_to_index_;  // device id -> devices_ slot
   std::vector<std::uint8_t> down_;        // by device index; 1 = crashed
-  std::size_t down_count_ = 0;            // crashed devices (gates the batched path)
+  std::size_t down_count_ = 0;            // crashed devices (live receiver gate)
   FaultFn fault_;
-  bool any_listening_ = false;  // duty-cycle gates exist: fast path must probe them
+  bool any_listening_ = false;  // duty-cycle gates exist: the sweep must probe them
   std::vector<PendingTx> pending_;
   std::vector<PendingTx> flushing_;  // double buffer: swap per flush, no allocation
   bool flush_scheduled_ = false;
@@ -269,12 +262,14 @@ class RadioMedium {
   std::vector<std::size_t> cand_offsets_;   // n+1 prefix offsets
   std::vector<std::uint32_t> cand_rx_;      // receiver device index
   std::vector<double> cand_mean_;           // memoised mean received power, dBm
-  std::vector<double> cand_skip_gain_;      // fades below this are sub-threshold
   std::vector<double> cand_skip_u_;         // uniforms at/above this are sub-threshold
   std::vector<PairRec> pair_scratch_;       // rebuild staging (reused)
   std::vector<std::size_t> cand_cursor_;    // rebuild scatter cursors (reused)
-  std::vector<double> fade_u_;              // per-flush batched uniform draws
-  std::vector<std::uint32_t> survivors_;    // per-flush skip-test survivors
+  // Per-transmission sweep scratch, grown lazily to the largest slice.
+  std::vector<double> fade_u_;              // one uniform per gated candidate
+  std::vector<std::uint32_t> survivors_;    // gated positions that pass the skip test
+  std::vector<std::uint32_t> gated_;        // slice offset per gated position
+  std::vector<double> gated_skip_u_;        // skip bound per gated position
   std::vector<std::vector<Audible>> buckets_;  // per-receiver audible sets
   std::vector<std::size_t> touched_;           // receivers with non-empty buckets
   DeliverFn sink_;                             // per-slot batch consumer
@@ -293,8 +288,7 @@ class RadioMedium {
   std::uint32_t group_tail_[kResourceSlots] = {};
   std::uint32_t group_count_[kResourceSlots] = {};
   std::vector<std::uint32_t> group_next_;      // per-bucket chain links
-  bool cache_valid_ = false;
-  bool uniform_skip_ = false;  // fading model offers the u-space skip test
+  bool cache_stale_ = true;  // positions or population changed since rebuild
   geo::SpatialGrid grid_;
   bool grid_ready_ = false;  // cell membership current (maintained by move_device)
 };

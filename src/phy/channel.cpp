@@ -1,8 +1,6 @@
 #include "phy/channel.hpp"
 
 #include <cassert>
-#include <cmath>
-#include <limits>
 
 namespace firefly::phy {
 
@@ -32,8 +30,7 @@ util::Dbm Channel::mean_received_power(std::uint32_t tx_id, geo::Vec2 tx_pos,
 
 util::Dbm Channel::mean_received_power_uncached(std::uint32_t tx_id, geo::Vec2 tx_pos,
                                                 std::uint32_t rx_id, geo::Vec2 rx_pos) {
-  // Mirrors mean_received_power term-for-term so the two are bit-identical
-  // for order-independent shadowing models.
+  // Mirrors mean_received_power term-for-term so the two are bit-identical.
   const double d = geo::distance(tx_pos, rx_pos);
   return params_.tx_power - pathloss_->loss(d) - shadowing_->sample_uncached(tx_id, rx_id);
 }
@@ -44,10 +41,8 @@ double Channel::median_range() const {
 }
 
 double Channel::max_detectable_range(double extra_margin_db) const {
-  const double shadow_gain = shadowing_->max_gain_db();
-  if (!std::isfinite(shadow_gain)) return std::numeric_limits<double>::infinity();
   const util::Db budget = (params_.tx_power - params_.detection_threshold) +
-                          util::Db{extra_margin_db + shadow_gain};
+                          util::Db{extra_margin_db + shadowing_->max_gain_db()};
   return pathloss_->distance_for_loss(budget);
 }
 

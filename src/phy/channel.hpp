@@ -65,29 +65,17 @@ class Channel {
   [[nodiscard]] util::Dbm mean_received_power(std::uint32_t tx_id, geo::Vec2 tx_pos,
                                               std::uint32_t rx_id, geo::Vec2 rx_pos);
 
-  /// Same value as `mean_received_power` for order-independent shadowing
-  /// models, via the model's cache-free path: bulk candidate rebuilds use
-  /// it so scanning millions of pairs does not grow the per-link memo.
+  /// Same value as `mean_received_power`, via the shadowing model's
+  /// cache-free path: bulk candidate rebuilds use it so scanning millions
+  /// of pairs does not grow the per-link memo.
   [[nodiscard]] util::Dbm mean_received_power_uncached(std::uint32_t tx_id, geo::Vec2 tx_pos,
                                                        std::uint32_t rx_id, geo::Vec2 rx_pos);
 
-  /// One fast-fading power gain from the shared per-delivery stream;
-  /// consumes exactly the randomness `received_power` would.  The radio's
-  /// spatial-index fast path draws the gain, compares it against a
-  /// precomputed linear threshold and only converts to dBm when audible.
-  [[nodiscard]] double sample_fading_gain() { return fading_->sample_gain(fading_rng_); }
-
-  /// The raw uniform behind one fading draw, for models with
-  /// `supports_uniform_skip()`: consumes the same single generator step
-  /// `sample_fading_gain` would, letting the radio compare it against a
-  /// candidate's precomputed `skip_u` bound before paying the gain
-  /// transform.
-  [[nodiscard]] double sample_fading_uniform() { return fading_rng_.unit_open(); }
-
-  /// Batched form of `sample_fading_uniform`: fills `out[0..n)` with the
-  /// exact sequence n scalar calls would produce (same stream, same order),
-  /// so the radio's vectorised delivery sweep stays bit-identical to the
-  /// per-candidate path.
+  /// The raw uniforms behind n fading draws: fills `out[0..n)` with the
+  /// exact sequence n `received_power` calls would consume (same stream,
+  /// same order; every fading model draws one uniform per reception), so
+  /// the radio can test each against a candidate's precomputed `skip_u`
+  /// bound before paying the model's gain transform.
   void fill_fading_uniforms(double* out, std::size_t n) {
     fading_rng_.fill_unit_open(out, n);
   }
@@ -104,8 +92,7 @@ class Channel {
   /// Hard upper bound on the distance at which a slot-averaged reception
   /// can clear the detection threshold, given the path-loss budget, the
   /// shadowing model's bounded gain and `extra_margin_db` of headroom
-  /// (e.g. the candidate fading margin).  +inf when the shadowing model is
-  /// unbounded — spatial pruning then degrades to a dense scan.
+  /// (e.g. the candidate fading margin).  Always finite.
   [[nodiscard]] double max_detectable_range(double extra_margin_db = 0.0) const;
 
   [[nodiscard]] const RadioParams& params() const { return params_; }

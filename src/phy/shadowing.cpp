@@ -1,7 +1,6 @@
 #include "phy/shadowing.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace firefly::phy {
@@ -28,56 +27,6 @@ util::Db PerLinkShadowing::sample(std::uint32_t a, std::uint32_t b) {
   const double value = draw(a, b);
   cache_.emplace(key, value);
   return util::Db{value};
-}
-
-CorrelatedShadowing::CorrelatedShadowing(double sigma_db, double decorrelation_m,
-                                         std::vector<geo::Vec2> positions, util::Rng rng)
-    : sigma_(sigma_db),
-      spacing_(decorrelation_m),
-      positions_(std::move(positions)),
-      rng_(rng),
-      field_seed_(rng_.bits()) {
-  assert(spacing_ > 0.0);
-}
-
-double CorrelatedShadowing::grid_value(std::int64_t ix, std::int64_t iy) const {
-  const std::uint64_t key = (static_cast<std::uint64_t>(ix) << 32) ^
-                            (static_cast<std::uint64_t>(iy) & 0xFFFFFFFFULL);
-  const auto it = grid_.find(key);
-  if (it != grid_.end()) return it->second;
-  // Hash-derived draw so the field is identical regardless of query order.
-  util::SplitMix64 mixer(field_seed_ ^ (key * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL));
-  const double u1 =
-      (static_cast<double>(mixer.next() >> 11) + 0.5) * 0x1.0p-53;
-  const double u2 = static_cast<double>(mixer.next() >> 11) * 0x1.0p-53;
-  const double value =
-      std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  grid_.emplace(key, value);
-  return value;
-}
-
-double CorrelatedShadowing::field_at(geo::Vec2 p) const {
-  const double gx = p.x / spacing_;
-  const double gy = p.y / spacing_;
-  const auto ix = static_cast<std::int64_t>(std::floor(gx));
-  const auto iy = static_cast<std::int64_t>(std::floor(gy));
-  const double fx = gx - static_cast<double>(ix);
-  const double fy = gy - static_cast<double>(iy);
-  const double w00 = (1.0 - fx) * (1.0 - fy);
-  const double w10 = fx * (1.0 - fy);
-  const double w01 = (1.0 - fx) * fy;
-  const double w11 = fx * fy;
-  const double raw = w00 * grid_value(ix, iy) + w10 * grid_value(ix + 1, iy) +
-                     w01 * grid_value(ix, iy + 1) + w11 * grid_value(ix + 1, iy + 1);
-  // Bilinear mixing shrinks the variance to Σw²; renormalise to unit.
-  const double norm = std::sqrt(w00 * w00 + w10 * w10 + w01 * w01 + w11 * w11);
-  return raw / norm;
-}
-
-util::Db CorrelatedShadowing::sample(std::uint32_t a, std::uint32_t b) {
-  assert(a < positions_.size() && b < positions_.size());
-  const geo::Vec2 mid = 0.5 * (positions_[a] + positions_[b]);
-  return util::Db{sigma_ * field_at(mid)};
 }
 
 }  // namespace firefly::phy

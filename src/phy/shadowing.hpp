@@ -4,17 +4,13 @@
 // with standard deviation σ = 10 dB (Table I).  For a *static* deployment a
 // link's shadowing is constant over the run (obstructions don't move), so
 // the default model draws once per unordered link and memoises — this also
-// makes the link symmetric, which the ranging analysis assumes.  An i.i.d.
-// per-sample mode is provided for the analytic-error validation bench, and
-// a distance-correlated (Gudmundson) mode for the mobility extension.
+// makes the link symmetric, which the ranging analysis assumes.  Every
+// model's gain is bounded, so the radio's candidate range is always finite.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
-#include <vector>
 
-#include "geo/point.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -27,19 +23,15 @@ class ShadowingModel {
   [[nodiscard]] virtual util::Db sample(std::uint32_t a, std::uint32_t b) = 0;
   /// Like `sample`, but guaranteed not to grow memoised state — the
   /// spatial-index bulk rebuilds use it so scanning millions of candidate
-  /// pairs does not inflate the per-link cache.  Models whose draws are
-  /// order-dependent (or stateless) simply forward to `sample`.
+  /// pairs does not inflate the per-link cache.  Models without a memo
+  /// simply forward to `sample`.
   [[nodiscard]] virtual util::Db sample_uncached(std::uint32_t a, std::uint32_t b) {
     return sample(a, b);
   }
   [[nodiscard]] virtual double sigma_db() const = 0;
-  /// Upper bound on the shadowing *gain* (−sample) in dB, used to bound
-  /// the maximum detectable range for spatial pruning; +inf when the model
-  /// is unbounded (pruning then degrades to a dense scan, never to a wrong
-  /// answer).
-  [[nodiscard]] virtual double max_gain_db() const {
-    return std::numeric_limits<double>::infinity();
-  }
+  /// Finite upper bound on the shadowing *gain* (−sample) in dB, used to
+  /// bound the maximum detectable range for spatial pruning.
+  [[nodiscard]] virtual double max_gain_db() const = 0;
   /// Invalidate memoised link state after large-scale movement; models
   /// without memoised state ignore it.
   virtual void invalidate() {}
@@ -51,21 +43,6 @@ class NoShadowing final : public ShadowingModel {
   [[nodiscard]] util::Db sample(std::uint32_t, std::uint32_t) override { return util::Db{0.0}; }
   [[nodiscard]] double sigma_db() const override { return 0.0; }
   [[nodiscard]] double max_gain_db() const override { return 0.0; }
-};
-
-/// Fresh Gaussian draw on every call (eq. 9 verbatim).
-class IidShadowing final : public ShadowingModel {
- public:
-  IidShadowing(double sigma_db, util::Rng rng) : sigma_(sigma_db), rng_(rng) {}
-
-  [[nodiscard]] util::Db sample(std::uint32_t, std::uint32_t) override {
-    return util::Db{rng_.normal(0.0, sigma_)};
-  }
-  [[nodiscard]] double sigma_db() const override { return sigma_; }
-
- private:
-  double sigma_;
-  util::Rng rng_;
 };
 
 /// One Gaussian draw per unordered link: the static-scenario model.
@@ -109,41 +86,6 @@ class PerLinkShadowing final : public ShadowingModel {
   std::uint64_t seed_;
   std::uint64_t epoch_ = 0;
   std::unordered_map<std::uint64_t, double> cache_;
-};
-
-/// Spatially correlated shadowing (Gudmundson-style).
-///
-/// Each link's shadowing is σ · F(midpoint(p_a, p_b)), where F is a smooth
-/// unit-variance Gaussian random field realised by bilinear interpolation
-/// of an i.i.d. grid with spacing equal to the decorrelation distance
-/// (re-normalised so the pointwise variance stays exactly 1).
-/// Consequences the tests pin: per-link variance σ², symmetry by
-/// construction, and links whose midpoints are close see strongly
-/// correlated shadowing while far-apart links decorrelate — obstructions
-/// are shared by co-located links, which i.i.d. per-link draws cannot
-/// express.  Device positions are fixed at construction (the static
-/// Table I deployment); `field_at` is exposed for tests and visualisation.
-class CorrelatedShadowing final : public ShadowingModel {
- public:
-  CorrelatedShadowing(double sigma_db, double decorrelation_m,
-                      std::vector<geo::Vec2> positions, util::Rng rng);
-
-  [[nodiscard]] util::Db sample(std::uint32_t a, std::uint32_t b) override;
-  [[nodiscard]] double sigma_db() const override { return sigma_; }
-
-  /// The underlying unit-variance field (for tests/ablation).
-  [[nodiscard]] double field_at(geo::Vec2 p) const;
-
- private:
-  [[nodiscard]] double grid_value(std::int64_t ix, std::int64_t iy) const;
-
-  double sigma_;
-  double spacing_;
-  std::vector<geo::Vec2> positions_;
-  // Lazily drawn grid values keyed by cell index; mutable via const helper.
-  mutable std::unordered_map<std::uint64_t, double> grid_;
-  mutable util::Rng rng_;
-  std::uint64_t field_seed_;
 };
 
 }  // namespace firefly::phy

@@ -86,9 +86,8 @@ class Rng {
       out[i] = (static_cast<double>(engine_.next() >> 11) + 0.5) * 0x1.0p-53;
     }
   }
-  /// Exponential with the given rate λ (> 0).  Inline: it is the Rayleigh
-  /// power-gain draw, which delivery evaluation performs once per
-  /// candidate receiver — millions of times per large trial.
+  /// Exponential with the given rate λ (> 0): the fault streams'
+  /// inter-arrival and duration draws.
   double exponential(double rate) {
     assert(rate > 0.0);
     return -std::log(unit_open()) / rate;
@@ -97,7 +96,7 @@ class Rng {
   bool bernoulli(double p);
   /// Rayleigh-distributed amplitude with scale σ.
   double rayleigh(double sigma);
-  /// Gamma(shape k, scale θ) via Marsaglia–Tsang.  Used for Nakagami fading.
+  /// Gamma(shape k, scale θ) via Marsaglia–Tsang.
   double gamma(double shape, double scale);
   /// Poisson with mean λ (Knuth for small λ, normal approximation above 64).
   std::uint64_t poisson(double lambda);

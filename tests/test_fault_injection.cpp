@@ -6,12 +6,14 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "proto/st.hpp"
 #include "fault/fault_injector.hpp"
+#include "full_scan_radio.hpp"
 #include "mac/radio.hpp"
 
 namespace {
@@ -226,42 +228,54 @@ TEST(RadioFaults, HookVetoIsCountedAndAttenuationFlowsThrough) {
   EXPECT_EQ(radio.counters().fault_drops, 2U);
 }
 
-TEST(RadioFaults, MemoisedSweepMatchesFullScanUnderFaultHook) {
-  // The memoised scalar sweep skips the fading math for provably
-  // sub-threshold candidates but must still call the fault hook once per
-  // candidate, in order, and count the same drops as the add_audible full
-  // scan.  Rayleigh fading and no shadowing: both paths consume the same
-  // fading stream once every pair is a candidate.  The hook draws its own
-  // drop stream, so a missing, extra or reordered call changes the result.
-  struct Run {
-    std::vector<mac::RxRecord> records;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> hook_calls;
-    mac::TrafficCounters counters;
-  };
-  constexpr std::uint32_t kN = 12;
-  const auto run = [&](bool use_cache) {
-    Run out;
-    sim::Simulator sim;
-    phy::Channel channel(phy::RadioParams{}, std::make_unique<phy::PaperDualSlope>(),
-                         std::make_unique<phy::NoShadowing>(),
-                         std::make_unique<phy::RayleighFading>(), util::Rng(9));
-    mac::RadioMedium radio(&sim, &channel);
-    // A 10 m-pitch line: near pairs are audible in most fades, the far end
-    // (~110 m, beyond the ~89 m median range) is sub-threshold in most.
-    for (std::uint32_t id = 0; id < kN; ++id) {
-      radio.add_device(id, {10.0 * id, 0.0});
+/// One differential radio scenario: a 12-device, 10 m-pitch line under
+/// Rayleigh fading and no shadowing, so every pair is a candidate and the
+/// memoised sweep and the full-scan oracle consume the same fading stream.
+/// Near pairs are audible in most fades; the far end (~110 m, beyond the
+/// ~89 m median range) is sub-threshold in most.
+struct LineScenario {
+  bool fault_hook = false;              ///< install the drop/veto/attenuation hook
+  bool duty_gate = false;               ///< device 5 listens one slot in three
+  std::optional<std::uint32_t> crashed; ///< a receiver that is down throughout
+  /// nullopt: the two codecs alternate by sender and slot.
+  std::optional<mac::RachCodec> codec;
+};
+
+struct LineRun {
+  std::vector<mac::RxRecord> records;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> hook_calls;
+  mac::TrafficCounters counters;
+};
+
+constexpr std::uint32_t kLineN = 12;
+
+template <typename Medium>
+LineRun run_line(const LineScenario& scenario) {
+  LineRun out;
+  sim::Simulator sim;
+  phy::Channel channel(phy::RadioParams{}, std::make_unique<phy::PaperDualSlope>(),
+                       std::make_unique<phy::NoShadowing>(),
+                       std::make_unique<phy::RayleighFading>(), util::Rng(9));
+  Medium radio(&sim, &channel);
+  for (std::uint32_t id = 0; id < kLineN; ++id) {
+    mac::RadioMedium::ListenFn listening = nullptr;
+    if (scenario.duty_gate && id == 5) {
+      listening = [&sim] { return mac::RadioMedium::slot_index(sim.now()) % 3 == 0; };
     }
-    if (use_cache) {
-      radio.rebuild();
-      std::size_t pairs = 0;
-      radio.for_each_candidate_pair([&](std::uint32_t, std::uint32_t, util::Dbm) { ++pairs; });
-      EXPECT_EQ(pairs, kN * (kN - 1) / 2) << "every pair must be a candidate";
-    }
-    radio.set_down(4, true);  // crashed receiver: no draw, no hook call
-    radio.set_delivery_sink([&](const mac::RxBatch& batch) {
-      out.records.insert(out.records.end(), batch.records, batch.records + batch.count);
-    });
-    util::Rng drop_rng(3);
+    radio.add_device(id, {10.0 * id, 0.0}, std::move(listening));
+  }
+  if constexpr (std::is_same_v<Medium, mac::RadioMedium>) {
+    radio.rebuild();
+    std::size_t pairs = 0;
+    radio.for_each_candidate_pair([&](std::uint32_t, std::uint32_t, util::Dbm) { ++pairs; });
+    EXPECT_EQ(pairs, kLineN * (kLineN - 1) / 2) << "every pair must be a candidate";
+  }
+  if (scenario.crashed) radio.set_down(*scenario.crashed, true);  // no draw, no hook call
+  radio.set_delivery_sink([&](const mac::RxBatch& batch) {
+    out.records.insert(out.records.end(), batch.records, batch.records + batch.count);
+  });
+  util::Rng drop_rng(3);
+  if (scenario.fault_hook) {
     radio.set_fault_hook([&](std::uint32_t sender, std::uint32_t receiver,
                              mac::PsType) -> std::optional<util::Db> {
       out.hook_calls.emplace_back(sender, receiver);
@@ -274,41 +288,70 @@ TEST(RadioFaults, MemoisedSweepMatchesFullScanUnderFaultHook) {
       }
       return util::Db{0.0};
     });
-    for (std::int64_t slot = 0; slot < 40; ++slot) {
-      sim.schedule_at(sim::SimTime::milliseconds(slot), [&, slot] {
-        for (std::uint32_t id = 0; id < kN; ++id) {
-          if (id == 4) continue;
-          // Both codecs on a three-preamble pool: many same-resource groups.
-          const auto codec = (id + static_cast<std::uint32_t>(slot)) % 2 == 0
-                                 ? mac::RachCodec::kRach1
-                                 : mac::RachCodec::kRach2;
-          radio.broadcast(id, {codec, id % 3}, mac::PsType::kSyncPulse, id);
-        }
-      });
-    }
-    sim.run();
-    out.counters = radio.counters();
-    return out;
-  };
-  const Run scan = run(false);
-  const Run cached = run(true);
-  EXPECT_GT(scan.counters.fault_drops, 0U);
+  }
+  for (std::int64_t slot = 0; slot < 40; ++slot) {
+    sim.schedule_at(sim::SimTime::milliseconds(slot), [&, slot] {
+      for (std::uint32_t id = 0; id < kLineN; ++id) {
+        if (scenario.crashed == id) continue;
+        const bool even = (id + static_cast<std::uint32_t>(slot)) % 2 == 0;
+        const mac::RachCodec codec = scenario.codec.value_or(
+            even ? mac::RachCodec::kRach1 : mac::RachCodec::kRach2);
+        // A three-preamble pool: many same-resource groups.
+        radio.broadcast(id, {codec, id % 3}, mac::PsType::kSyncPulse, id);
+      }
+    });
+  }
+  sim.run();
+  out.counters = radio.counters();
+  return out;
+}
+
+/// Run `scenario` on the radio and on the full-scan oracle; everything the
+/// radio delivers, counts and asks the hook must match.
+void expect_sweep_matches_full_scan(const LineScenario& scenario) {
+  const LineRun scan = run_line<mac::FullScanRadio>(scenario);
+  const LineRun cached = run_line<mac::RadioMedium>(scenario);
+  if (scenario.fault_hook) {
+    EXPECT_GT(scan.counters.fault_drops, 0U);
+  } else {
+    EXPECT_EQ(scan.counters.fault_drops, 0U);
+  }
   EXPECT_GT(scan.counters.collisions, 0U);
   EXPECT_GT(scan.counters.deliveries, 0U);
   EXPECT_EQ(cached.counters.fault_drops, scan.counters.fault_drops);
   EXPECT_EQ(cached.counters.collisions, scan.counters.collisions);
   EXPECT_EQ(cached.counters.deliveries, scan.counters.deliveries);
   EXPECT_EQ(cached.hook_calls, scan.hook_calls);
-  ASSERT_EQ(cached.records.size(), scan.records.size());
-  for (std::size_t i = 0; i < scan.records.size(); ++i) {
-    const mac::RxRecord& a = scan.records[i];
-    const mac::RxRecord& b = cached.records[i];
-    EXPECT_EQ(b.sender, a.sender) << "record " << i;
-    EXPECT_EQ(b.rx_index, a.rx_index) << "record " << i;
-    EXPECT_EQ(b.preamble, a.preamble) << "record " << i;
-    EXPECT_EQ(b.payload, a.payload) << "record " << i;
-    EXPECT_EQ(b.rx_power.value, a.rx_power.value) << "record " << i;
-    EXPECT_EQ(b.slot_start.us, a.slot_start.us) << "record " << i;
+  mac::expect_same_records(scan.records, cached.records);
+}
+
+TEST(RadioFaults, MemoisedSweepMatchesFullScanUnderFaultHook) {
+  // The sweep skips the fading math for provably sub-threshold candidates
+  // but must still call the fault hook once per gated candidate, in order,
+  // and count the same drops as the full scan.  The hook draws its own drop
+  // stream, so a missing, extra or reordered call changes the result.
+  expect_sweep_matches_full_scan(LineScenario{
+      .fault_hook = true, .duty_gate = false, .crashed = 4, .codec = std::nullopt});
+}
+
+TEST(RadioFaults, DutyGatedReceiverUnderFaultHookMatchesFullScan) {
+  // A sleeping receiver draws no fade and gets no hook call; on the slots it
+  // listens it is an ordinary candidate.
+  for (const mac::RachCodec codec : {mac::RachCodec::kRach1, mac::RachCodec::kRach2}) {
+    SCOPED_TRACE(mac::to_string(codec));
+    expect_sweep_matches_full_scan(
+        LineScenario{.fault_hook = true, .duty_gate = true, .crashed = std::nullopt, .codec = codec});
+  }
+}
+
+TEST(RadioFaults, CrashedReceiverWithoutHookMatchesFullScan) {
+  // A crash alone (no fault hook) gates the sweep: the crashed receiver is
+  // skipped before the batched draw, so the other candidates' fades stay in
+  // the full scan's order.
+  for (const mac::RachCodec codec : {mac::RachCodec::kRach1, mac::RachCodec::kRach2}) {
+    SCOPED_TRACE(mac::to_string(codec));
+    expect_sweep_matches_full_scan(
+        LineScenario{.fault_hook = false, .duty_gate = false, .crashed = 4, .codec = codec});
   }
 }
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "full_scan_radio.hpp"
 #include "phy/channel.hpp"
 #include "util/rng.hpp"
 
@@ -193,25 +194,40 @@ TEST(Radio, CountersByCodec) {
   EXPECT_EQ(w.radio->counters().total_tx(), 0U);
 }
 
+/// One broadcast from the end of a 4 m-pitch line of 31 devices, on either
+/// medium; returns every decoded record.
+template <typename Medium>
+std::vector<RxRecord> line_broadcast() {
+  sim::Simulator sim;
+  phy::Channel channel(phy::RadioParams{}, std::make_unique<phy::PaperDualSlope>(),
+                       std::make_unique<phy::NoShadowing>(), std::make_unique<phy::NoFading>(),
+                       util::Rng(1));
+  Medium medium(&sim, &channel, 3.0);
+  std::vector<RxRecord> records;
+  medium.set_delivery_sink([&](const mac::RxBatch& batch) {
+    records.insert(records.end(), batch.records, batch.records + batch.count);
+  });
+  medium.add_device(0, {0.0, 0.0});
+  for (std::uint32_t i = 1; i <= 30; ++i) {
+    medium.add_device(i, {static_cast<double>(i * 4), 0.0});
+  }
+  sim.schedule_at(sim::SimTime::zero(), [&] {
+    medium.broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
+  });
+  sim.run();
+  return records;
+}
+
 TEST(Radio, CandidateCacheMatchesFullScan) {
   // With deterministic propagation the cache must not change what is
-  // delivered.
-  for (const bool use_cache : {false, true}) {
-    World w;
-    w.add(0, {0.0, 0.0});
-    for (std::uint32_t i = 1; i <= 30; ++i) {
-      w.add(i, {static_cast<double>(i * 4), 0.0});
-    }
-    if (use_cache) w.radio->rebuild();
-    w.sim.schedule_at(sim::SimTime::zero(), [&] {
-      w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
-    });
-    w.sim.run();
-    std::size_t heard = 0;
-    for (std::uint32_t i = 1; i <= 30; ++i) heard += w.inbox[i].size();
-    // Devices at 4..88 m hear it (~89 m range): exactly 22 of them.
-    EXPECT_EQ(heard, 22U) << "cache=" << use_cache;
-  }
+  // delivered: the radio (which builds its cache at the first flush) hears
+  // exactly what the full-scan oracle hears.
+  const std::vector<RxRecord> scan = line_broadcast<mac::FullScanRadio>();
+  const std::vector<RxRecord> cached = line_broadcast<RadioMedium>();
+  // Devices at 4..88 m hear it (~89 m range): exactly 22 of them.
+  EXPECT_EQ(scan.size(), 22U) << "full scan";
+  EXPECT_EQ(cached.size(), 22U) << "cache";
+  mac::expect_same_records(scan, cached);
 }
 
 TEST(Radio, MoveDeviceChangesConnectivity) {

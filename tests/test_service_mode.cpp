@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/report.hpp"
@@ -154,6 +156,26 @@ TEST(ServiceMode, RejectsMobilityAndBadConfig) {
   core::ServiceConfig bad = short_soak();
   bad.window_slots = 0;
   EXPECT_FALSE(core::run_service_trial(core::Protocol::kSt, soak_scenario(), bad).ok());
+}
+
+TEST(ServiceMode, RejectsEmptyPopulationBeforeDeploying) {
+  core::ScenarioConfig config = soak_scenario();
+  config.n = 0;
+  const core::ServiceReport report =
+      core::run_service_trial(core::Protocol::kSt, config, short_soak());
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.error, core::validate(config));
+  EXPECT_EQ(report.windows, 0u) << "a rejected soak must not run";
+}
+
+TEST(ServiceMode, RejectsNonFiniteEpsilon) {
+  core::ScenarioConfig config = soak_scenario();
+  config.protocol.prc.epsilon = std::numeric_limits<double>::quiet_NaN();
+  const core::ServiceReport report =
+      core::run_service_trial(core::Protocol::kSt, config, short_soak());
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.error.find("epsilon"), std::string::npos) << report.error;
+  EXPECT_EQ(report.windows, 0u) << "a rejected soak must not run";
 }
 
 TEST(SoakRecorder, RingDropsOldestAndCountsIt) {

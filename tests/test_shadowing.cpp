@@ -16,25 +16,6 @@ TEST(NoShadowing, AlwaysZero) {
   EXPECT_DOUBLE_EQ(model.sigma_db(), 0.0);
 }
 
-TEST(IidShadowing, MomentsMatchSigma) {
-  IidShadowing model(10.0, Rng(1));
-  const int n = 100000;
-  double sum = 0.0, sum2 = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x = model.sample(0, 1).value;
-    sum += x;
-    sum2 += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.15);
-  EXPECT_NEAR(sum2 / n, 100.0, 2.0);
-  EXPECT_DOUBLE_EQ(model.sigma_db(), 10.0);
-}
-
-TEST(IidShadowing, FreshDrawEveryCall) {
-  IidShadowing model(10.0, Rng(2));
-  EXPECT_NE(model.sample(0, 1).value, model.sample(0, 1).value);
-}
-
 TEST(PerLinkShadowing, MemoisedPerLink) {
   PerLinkShadowing model(10.0, Rng(3));
   const double first = model.sample(4, 9).value;
