@@ -8,7 +8,10 @@
 // second path compares its one remaining path against these records.  The
 // duty/* digests were recorded while the radio still delivered through two
 // memoised sweeps (a batched one and a per-candidate one for gated
-// receivers), before the two merged into one.
+// receivers), before the two merged into one.  The fades/* digests were
+// recorded while the radio still called the fault hook for every gated
+// candidate of every sender, before fades-only plans limited it to the
+// senders a live fade episode touches.
 //
 // A mismatch prints the full JSON record.  Re-record a digest only for a
 // change that is meant to move results, and say so in the change log.
@@ -34,6 +37,9 @@ inline const std::map<std::string, std::uint64_t> kGolden = {
     {"churn/fst", 0x8c911e13b23ab126ULL},
     {"duty/fst", 0x12e1c121fdbf86adULL},
     {"duty/st", 0x5436e9c8e2cb0cc7ULL},
+    {"fades/fst", 0x165c539f21e43260ULL},
+    {"fades/service-st", 0x4f4b12cbf07b186aULL},
+    {"fades/st", 0xe56ad1ad116f1468ULL},
     {"faults/st-40", 0xbb4316f2c7654164ULL},
     {"faults/st-60-fades", 0x80dc675415af2226ULL},
     {"mobility/st-40", 0x9ed7d035cc7183bcULL},

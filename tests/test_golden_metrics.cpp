@@ -8,8 +8,10 @@
 // Scenarios: every registered backend on a static fixed-area deployment; ST
 // and FST with duty-cycled receivers; ST, FST and DESYNC on the
 // density-scaled paper deployment; ST with mobility; ST and DESYNC under
-// fault injection; the other backends under churn; and the service-mode
-// snapshot → restore → run-to-end path for every backend.
+// fault injection; ST and FST under churn and fades with no drop draw; the
+// other backends under churn; and the service-mode snapshot → restore →
+// run-to-end path for every backend, plus ST with the checkpoint inside a
+// live fade episode.
 //
 // The digests live in golden_metrics.hpp, shared with the layout, scheduler
 // and spatial suites.  A mismatch prints the full JSON record.
@@ -26,6 +28,7 @@
 #include "core/service_mode.hpp"
 #include "golden_metrics.hpp"
 #include "proto/registry.hpp"
+#include "proto/st.hpp"
 
 namespace {
 
@@ -137,6 +140,76 @@ TEST(GoldenMetrics, DutyCycledFixedArea) {
     config.protocol.duty_period_slots = 100;
     expect_golden(key, core::run_trial(protocol, config));
   }
+}
+
+core::ScenarioConfig with_fades_only(core::ScenarioConfig config) {
+  config.protocol.faults.fade_rate_per_min = 120.0;
+  config.protocol.faults.drop_probability = 0.0;  // no drop draw per candidate
+  return config;
+}
+
+TEST(GoldenMetrics, FadesOnlyFixedArea) {
+  // Churn and deep fades with no drop draw: only the endpoints of a live
+  // fade episode can be faulted, so every other sender is a fault-free
+  // sweep while the hook answers for the faded ones.
+  for (const auto& [key, protocol] : {std::pair{"fades/st", core::Protocol::kSt},
+                                      std::pair{"fades/fst", core::Protocol::kFst}}) {
+    const core::ScenarioConfig config = with_fades_only(with_churn(fixed_area(40, 8107)));
+    const core::RunMetrics metrics = core::run_trial(protocol, config);
+    EXPECT_GT(metrics.fade_episodes, 0U) << key;
+    EXPECT_GT(metrics.fault_drops, 0U) << key;
+    expect_golden(key, metrics);
+  }
+}
+
+// Exposes the engine's fault injector, so the test can see which fades a
+// restored checkpoint carries.
+class InspectableSt : public proto::StEngine {
+ public:
+  using proto::StEngine::injector;
+  using proto::StEngine::StEngine;
+};
+
+TEST(GoldenMetrics, FadesOnlyServiceSnapshotInsideAFade) {
+  // The slot-8k checkpoint lands while a fade episode is live, so the
+  // restored engine must carry the active-fade state of the injector.
+  core::ScenarioConfig config;
+  config.n = 24;
+  config.seed = 8108;
+  config.protocol.faults.churn_rate_per_min = 120.0;
+  config.protocol.faults.mean_downtime_ms = 900.0;
+  config.protocol.faults.fade_mean_duration_ms = 2'000.0;
+  config = with_fades_only(config);
+
+  core::ServiceConfig service;
+  service.duration_slots = 12'000;
+  service.window_slots = 1'000;
+  const std::vector<geo::Vec2> positions = core::deploy(config);
+
+  InspectableSt reference(positions, config.protocol, config.radio, config.seed);
+  const core::ServiceReport ref = reference.run_service(service);
+  ASSERT_TRUE(ref.ok()) << ref.error;
+
+  core::ServiceConfig snapped = service;
+  snapped.snapshot_every_slots = 8'000;
+  InspectableSt engine(positions, config.protocol, config.radio, config.seed);
+  const core::ServiceReport first = engine.run_service(snapped);
+  ASSERT_TRUE(first.ok()) << first.error;
+  ASSERT_NE(engine.service_snapshot(), nullptr);
+  engine.restore(*engine.service_snapshot());
+  bool faded = false;
+  for (std::uint32_t a = 0; a < config.n; ++a) {
+    for (std::uint32_t b = a + 1; b < config.n; ++b) {
+      faded = faded || engine.injector()->link_attenuation_db(a, b) > 0.0;
+    }
+  }
+  ASSERT_TRUE(faded) << "the checkpoint must fall inside a fade episode";
+  const core::ServiceReport resumed = engine.run_service(snapped);
+  ASSERT_TRUE(resumed.ok()) << resumed.error;
+
+  EXPECT_EQ(metrics_json(resumed.metrics), metrics_json(ref.metrics)) << "restored tail diverged";
+  EXPECT_GT(resumed.metrics.fault_drops, 0U);
+  expect_golden("fades/service-st", resumed.metrics);
 }
 
 TEST(GoldenMetrics, ServiceSnapshotRestoreEveryBackend) {
