@@ -105,6 +105,7 @@ int main(int argc, char** argv) {
     for (std::size_t t = 0; t < trials; ++t) {
       core::ScenarioConfig config = base_config(500 + t);
       mutate(config.protocol.faults, config);
+      bench::require_valid(config);
       configs.push_back(config);
     }
     return configs;

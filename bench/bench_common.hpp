@@ -30,6 +30,7 @@
 
 #include "core/experiment.hpp"
 #include "core/report.hpp"
+#include "core/scenario.hpp"
 #include "obs/build_info.hpp"
 #include "obs/json.hpp"
 #include "obs/progress.hpp"
@@ -213,6 +214,15 @@ class BenchJson {
   std::ofstream out_;
 };
 
+/// Exit 2 with core::validate's message when `config` is invalid, as
+/// firefly_cli does, so no bench runs (or aborts on) a nonsense scenario.
+inline void require_valid(const core::ScenarioConfig& config) {
+  if (const std::string error = core::validate(config); !error.empty()) {
+    std::cerr << "invalid scenario: " << error << '\n';
+    std::exit(2);
+  }
+}
+
 inline core::SweepConfig paper_sweep() {
   core::SweepConfig config;
   config.trials = env_or("FIREFLY_BENCH_TRIALS", 3);
@@ -223,6 +233,11 @@ inline core::SweepConfig paper_sweep() {
   }
   config.base.area_policy = core::AreaPolicy::kDensityScaled;
   config.master_seed = 2015;  // the venue year; any fixed value works
+  for (const std::size_t n : config.ns) {  // the per-trial seed is never invalid
+    core::ScenarioConfig point = config.base;
+    point.n = n;
+    require_valid(point);
+  }
   return config;
 }
 

@@ -170,10 +170,12 @@ void BM_RadioSlotFlush(benchmark::State& state) {
   // the protocol hot path.  `rach2` = 1 puts every other broadcast on the
   // H_Connect codec, so buckets mix both RACH pools; `fault` = 1 installs a
   // drop/fade hook like the engine's, which the sweep calls once per
-  // candidate.
+  // candidate; `fault` = 2 installs a fades-only hook with one faded link
+  // (3, 17) and a scope marking its two endpoints, like the engine's hook
+  // for a plan without drops, so only those two senders call it.
   const auto txs = static_cast<std::size_t>(state.range(0));
   const bool mixed = state.range(1) != 0;
-  const bool faulted = state.range(2) != 0;
+  const std::int64_t fault = state.range(2);
   sim::Simulator sim;
   auto channel = phy::make_paper_channel(4);
   mac::RadioMedium radio(&sim, channel.get());
@@ -184,12 +186,22 @@ void BM_RadioSlotFlush(benchmark::State& state) {
   }
   radio.rebuild();
   util::Rng drop_rng(6);
-  if (faulted) {
+  if (fault == 1) {
     radio.set_fault_hook([&drop_rng](std::uint32_t sender, std::uint32_t receiver,
                                      mac::PsType) -> std::optional<util::Db> {
       if (drop_rng.bernoulli(0.02)) return std::nullopt;
       return util::Db{(sender + receiver) % 16 == 0 ? 20.0 : 0.0};
     });
+  }
+  std::vector<std::uint16_t> fade_degree(n, 0);
+  if (fault == 2) {
+    fade_degree[3] = fade_degree[17] = 1;
+    radio.set_fault_hook(
+        [](std::uint32_t sender, std::uint32_t receiver, mac::PsType) -> std::optional<util::Db> {
+          const bool faded = (sender == 3 && receiver == 17) || (sender == 17 && receiver == 3);
+          return util::Db{faded ? 60.0 : 0.0};
+        },
+        &fade_degree);
   }
   std::uint64_t slot = 1;
   for (auto _ : state) {
@@ -211,7 +223,8 @@ BENCHMARK(BM_RadioSlotFlush)
     ->Args({16, 0, 0})
     ->Args({128, 0, 0})
     ->Args({128, 1, 0})
-    ->Args({128, 1, 1});
+    ->Args({128, 1, 1})
+    ->Args({128, 1, 2});
 
 void BM_RadioBatchedDeliverySweep(benchmark::State& state) {
   // The batched SoA delivery sweep at scale: a 1000-device network, `txs`

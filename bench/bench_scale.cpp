@@ -12,14 +12,15 @@
 // the measured wall_ms.  Wall-clock fields make this file machine-speed
 // dependent; RunMetrics are pinned separately (test_golden_metrics).
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/scenario.hpp"
+#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -31,12 +32,15 @@ struct TrialResult {
   core::RunMetrics metrics;
 };
 
-TrialResult run_one(core::Protocol protocol, std::size_t n, std::size_t trial) {
+core::ScenarioConfig trial_config(std::size_t n, std::size_t trial) {
   core::ScenarioConfig config;
   config.n = n;
   config.seed = util::derive_seed(2015, "bench_scale",
                                   (static_cast<std::uint64_t>(n) << 20) | trial);
+  return config;
+}
 
+TrialResult run_one(core::Protocol protocol, const core::ScenarioConfig& config) {
   TrialResult result;
   const auto start = std::chrono::steady_clock::now();
   result.metrics = core::run_trial(protocol, config);
@@ -53,16 +57,22 @@ int main(int argc, char** argv) {
   std::size_t trials = bench::env_or("FIREFLY_BENCH_TRIALS", 1);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
+    std::string_view value;
     if (arg == "--trials" && i + 1 < argc) {
-      trials = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      value = argv[++i];
     } else if (arg.rfind("--trials=", 0) == 0) {
-      trials = static_cast<std::size_t>(std::strtoull(arg.data() + 9, nullptr, 10));
+      value = arg.substr(9);
     } else {
       std::cerr << "bench_scale: unknown argument '" << arg << "'\n";
       return 2;
     }
+    const std::optional<std::size_t> parsed = util::parse_size(value);
+    if (!parsed.has_value()) {
+      std::cerr << "bench_scale: --trials wants a positive integer, got '" << value << "'\n";
+      return 2;
+    }
+    trials = *parsed;
   }
-  if (trials == 0) trials = 1;
 
   const std::size_t max_n = bench::env_or("FIREFLY_BENCH_MAX_N", 5000);
   std::vector<std::size_t> ns;
@@ -70,6 +80,11 @@ int main(int argc, char** argv) {
     if (n <= max_n) ns.push_back(n);
   }
   if (ns.empty()) ns.push_back(max_n);
+  for (const std::size_t n : ns) {
+    for (std::size_t trial = 0; trial < trials; ++trial) {
+      bench::require_valid(trial_config(n, trial));
+    }
+  }
 
   const std::vector<core::Protocol> protocols =
       bench::bench_protocols({core::Protocol::kSt});
@@ -86,7 +101,7 @@ int main(int argc, char** argv) {
       for (std::size_t trial = 0; trial < trials; ++trial) {
         std::cerr << "bench_scale: protocol=" << protocol_id << " n=" << n
                   << " trial=" << trial << "..." << std::flush;
-        const TrialResult result = run_one(protocol, n, trial);
+        const TrialResult result = run_one(protocol, trial_config(n, trial));
         std::cerr << ' ' << util::Table::num(result.wall_ms) << " ms\n";
         total_ms += result.wall_ms;
         if (result.metrics.converged) ++converged;

@@ -340,11 +340,19 @@ void EngineBase::install_fault_hook() {
   if (!params_.faults.channel_enabled()) return;
   // One drop draw per candidate, then the link's fade depth; the radio
   // applies the attenuation and its threshold rule (see RadioMedium::FaultFn).
-  radio_.set_fault_hook([this](std::uint32_t sender, std::uint32_t receiver,
-                               mac::PsType /*type*/) -> std::optional<util::Db> {
-    if (injector_->drop_reception()) return std::nullopt;
-    return util::Db{injector_->link_attenuation_db(sender, receiver)};
-  });
+  // Without drops the hook draws nothing and answers 0 dB for a sender no
+  // live fade touches, so the fade degree (by device id, which is the radio's
+  // device index here) scopes it to the faded endpoints.  A drop plan draws
+  // once per candidate of every sender and stays unscoped.
+  const std::vector<std::uint16_t>* scope =
+      params_.faults.drop_probability == 0.0 ? &injector_->fade_degree() : nullptr;
+  radio_.set_fault_hook(
+      [this](std::uint32_t sender, std::uint32_t receiver,
+             mac::PsType /*type*/) -> std::optional<util::Db> {
+        if (injector_->drop_reception()) return std::nullopt;
+        return util::Db{injector_->link_attenuation_db(sender, receiver)};
+      },
+      scope);
 }
 
 void EngineBase::schedule_fault_events() {

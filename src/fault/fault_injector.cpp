@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace firefly::fault {
 
@@ -35,6 +36,7 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint32_t device_count,
       drop_rng_(util::derive_seed(master_seed, "fault.drop")) {
   const util::RngFactory factory(master_seed);
   drift_ppm_.assign(device_count, 0.0);
+  fade_degree_.assign(device_count, 0);
   if (plan_.drift_max_ppm > 0.0) {
     util::Rng rng = factory.make("fault.drift");
     for (double& ppm : drift_ppm_) {
@@ -99,12 +101,23 @@ std::uint64_t FaultInjector::link_key(std::uint32_t a, std::uint32_t b) {
 }
 
 void FaultInjector::fade_started(const FadeEpisode& episode) {
+  assert(episode.u < fade_degree_.size() && episode.v < fade_degree_.size());
   active_fades_.insert(link_key(episode.u, episode.v));
+  for (const std::uint32_t device : {episode.u, episode.v}) {
+    std::uint16_t& degree = fade_degree_[device];
+    if (degree != std::numeric_limits<std::uint16_t>::max()) ++degree;
+  }
 }
 
 void FaultInjector::fade_ended(const FadeEpisode& episode) {
   const auto it = active_fades_.find(link_key(episode.u, episode.v));
-  if (it != active_fades_.end()) active_fades_.erase(it);
+  if (it == active_fades_.end()) return;  // unknown episode: nothing to end
+  active_fades_.erase(it);
+  for (const std::uint32_t device : {episode.u, episode.v}) {
+    std::uint16_t& degree = fade_degree_[device];
+    assert(degree > 0);
+    if (degree != std::numeric_limits<std::uint16_t>::max()) --degree;  // saturated: sticky
+  }
 }
 
 double FaultInjector::link_attenuation_db(std::uint32_t a, std::uint32_t b) const {

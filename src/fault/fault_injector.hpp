@@ -43,6 +43,12 @@ class FaultInjector {
   void fade_ended(const FadeEpisode& episode);
   /// Extra attenuation currently on link (a, b), in dB (0 when clear).
   [[nodiscard]] double link_attenuation_db(std::uint32_t a, std::uint32_t b) const;
+  /// Per device, the number of active fade episodes with that device as an
+  /// endpoint.  A device at 0 has no faded link, so `link_attenuation_db`
+  /// is 0 for every link it is on.  A count that reaches the type's maximum
+  /// stays there: it can then only overstate the device's fades, never
+  /// report 0 for a faded device.
+  [[nodiscard]] const std::vector<std::uint16_t>& fade_degree() const { return fade_degree_; }
 
   /// One i.i.d. drop draw (delivery order = draw order).  False when the
   /// plan has no drop knob, without consuming randomness.
@@ -64,6 +70,7 @@ class FaultInjector {
   // A link can be covered by overlapping episodes; count them so an episode
   // ending early does not clear a fade another episode still holds.
   std::unordered_multiset<std::uint64_t> active_fades_;
+  std::vector<std::uint16_t> fade_degree_;  // by device; see fade_degree()
   util::Rng drop_rng_;
 };
 

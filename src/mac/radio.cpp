@@ -200,13 +200,17 @@ void RadioMedium::deliver_candidates() {
   //   2. draw one fading uniform per gated candidate, in one batched fill;
   //   3. survivors: the u < skip_u compare, which discards provably
   //      sub-threshold fades before paying the gain transform;
-  //   4. fault hook: once per gated candidate, in candidate order;
+  //   4. fault hook: once per gated candidate, in candidate order, when the
+  //      sender is in the hook's scope;
   //   5. admit the survivors whose exact faded power clears the threshold.
   // Gating before the draw is what makes the fading stream one draw per
   // gated candidate in candidate order; drawing a whole slice's fades ahead
   // of its hook calls is safe by the FaultFn contract.  With no crash and
   // no duty cycle live the gated set is the slice itself, read in place.
+  // A sender outside the scope takes the hook-free branch: the hook would
+  // answer 0 dB for each of its candidates, which changes nothing.
   const bool gating = down_count_ != 0 || any_listening_;
+  assert(fault_scope_ == nullptr || fault_scope_->size() >= devices_.size());
   for (const PendingTx& tx : flushing_) {
     const std::size_t s = index_of(tx.sender);
     const std::size_t begin = cand_offsets_[s];
@@ -259,7 +263,7 @@ void RadioMedium::deliver_candidates() {
       buckets_[rxi].push_back(Audible{&tx, power});
     };
 
-    if (fault_) {
+    if (fault_ && (fault_scope_ == nullptr || (*fault_scope_)[s] != 0)) {
       for (std::size_t i = 0; i < g; ++i) {
         const std::uint32_t rxi = cand_rx_[begin + (gating ? gated_[i] : i)];
         const std::optional<util::Db> attenuation = fault_(tx.sender, devices_[rxi].id, tx.type);
@@ -278,7 +282,7 @@ void RadioMedium::deliver_candidates() {
       }
       continue;
     }
-    // No hook: a branch-free compare compacts the survivors first.
+    // No hook call: a branch-free compare compacts the survivors first.
     std::size_t count = 0;
     for (std::size_t i = 0; i < g; ++i) {
       survivors_[count] = static_cast<std::uint32_t>(i);

@@ -77,11 +77,13 @@ class RadioMedium {
   /// Receiver-side duty cycling: evaluated at delivery time; a device whose
   /// predicate returns false is asleep and decodes nothing that slot.
   using ListenFn = std::function<bool()>;
-  /// Channel-fault hook (fault-injection runs): called exactly once per
-  /// candidate (tx, rx) pair that passes the down and duty-cycle gates, in
-  /// candidate order, whether or not the faded power could be detectable.
-  /// Returns the link's extra attenuation (>= 0 dB), or nullopt to veto the
-  /// reception at this receiver outright.  The radio applies the
+  /// Channel-fault hook (fault-injection runs): for each transmission whose
+  /// sender is in the hook's scope (see `set_fault_hook`), called exactly
+  /// once per candidate (tx, rx) pair that passes the down and duty-cycle
+  /// gates, in candidate order, whether or not the faded power could be
+  /// detectable; never called for a sender outside the scope.  Returns the
+  /// link's extra attenuation (>= 0 dB), or nullopt to veto the reception
+  /// at this receiver outright.  The radio applies the
   /// attenuation itself: a veto, or an attenuation > 0 that leaves the
   /// reception below the detection threshold, counts in
   /// `TrafficCounters::fault_drops`; the surviving power then flows through
@@ -119,8 +121,19 @@ class RadioMedium {
   void set_down(std::uint32_t id, bool down);
   [[nodiscard]] bool is_down(std::uint32_t id) const;
 
-  /// Install the channel-fault hook (null = fault-free delivery).
-  void set_fault_hook(FaultFn fn) { fault_ = std::move(fn); }
+  /// Install the channel-fault hook (null = fault-free delivery) with an
+  /// optional per-sender scope, indexed by device index and read at every
+  /// flush.  A sender whose scope entry is 0 promises that the hook would
+  /// answer `Db{0}` for every receiver without drawing any randomness, so
+  /// its transmissions skip the hook and take the fault-free sweep; an
+  /// attenuation of 0 never counts a fault drop nor changes a power, so the
+  /// skip is exactly equivalent.  With no scope every sender is in scope.
+  /// The scope is not owned and must outlive the hook; installing a hook
+  /// replaces the previous scope with `scope`.
+  void set_fault_hook(FaultFn fn, const std::vector<std::uint16_t>* scope = nullptr) {
+    fault_ = std::move(fn);
+    fault_scope_ = scope;
+  }
 
   /// Install the per-slot delivery sink (null = decoded PSs are metered but
   /// discarded, which is what the radio-only unit tests want).
@@ -248,6 +261,7 @@ class RadioMedium {
   std::vector<std::uint8_t> down_;        // by device index; 1 = crashed
   std::size_t down_count_ = 0;            // crashed devices (live receiver gate)
   FaultFn fault_;
+  const std::vector<std::uint16_t>* fault_scope_ = nullptr;  // null: every sender in scope
   bool any_listening_ = false;  // duty-cycle gates exist: the sweep must probe them
   std::vector<PendingTx> pending_;
   std::vector<PendingTx> flushing_;  // double buffer: swap per flush, no allocation

@@ -142,16 +142,27 @@ TEST(FaultInjector, OverlappingFadesKeepTheLinkFaded) {
   FaultInjector inj(plan, 4, 10'000, 5);
   const FadeEpisode first{100, 500, 1, 2};
   const FadeEpisode second{200, 800, 1, 2};
+  // Every device's count of live episodes it is an endpoint of.
+  using Degrees = std::vector<std::uint16_t>;
   EXPECT_EQ(inj.link_attenuation_db(1, 2), 0.0);
+  EXPECT_EQ(inj.fade_degree(), (Degrees{0, 0, 0, 0}));
   inj.fade_started(first);
+  EXPECT_EQ(inj.fade_degree(), (Degrees{0, 1, 1, 0}));
   inj.fade_started(second);
+  EXPECT_EQ(inj.fade_degree(), (Degrees{0, 2, 2, 0}));
   EXPECT_EQ(inj.link_attenuation_db(1, 2), 40.0);
   EXPECT_EQ(inj.link_attenuation_db(2, 1), 40.0);  // symmetric
   EXPECT_EQ(inj.link_attenuation_db(0, 3), 0.0);   // other links clear
+  inj.fade_ended(FadeEpisode{100, 500, 0, 3});     // never started
+  EXPECT_EQ(inj.fade_degree(), (Degrees{0, 2, 2, 0})) << "an unknown episode ends nothing";
   inj.fade_ended(first);
   EXPECT_EQ(inj.link_attenuation_db(1, 2), 40.0) << "second episode still open";
+  EXPECT_EQ(inj.fade_degree(), (Degrees{0, 1, 1, 0}));
   inj.fade_ended(second);
   EXPECT_EQ(inj.link_attenuation_db(1, 2), 0.0);
+  EXPECT_EQ(inj.fade_degree(), (Degrees{0, 0, 0, 0}));
+  inj.fade_ended(second);  // already ended: no longer known
+  EXPECT_EQ(inj.fade_degree(), (Degrees{0, 0, 0, 0}));
 }
 
 TEST(RadioFaults, DownDeviceNeitherSendsNorReceives) {
@@ -239,7 +250,13 @@ struct LineScenario {
   std::optional<std::uint32_t> crashed; ///< a receiver that is down throughout
   /// nullopt: the two codecs alternate by sender and slot.
   std::optional<mac::RachCodec> codec;
+  /// Scope the hook to senders 6, 0 and 11 (the faulted links' endpoints);
+  /// the hook answers 0 dB, with no drop draw, for every other sender.
+  bool scoped = false;
 };
+
+/// The senders a scoped line scenario's hook can fault.
+bool line_scoped(std::uint32_t sender) { return sender == 6 || sender == 0 || sender == 11; }
 
 struct LineRun {
   std::vector<mac::RxRecord> records;
@@ -275,10 +292,13 @@ LineRun run_line(const LineScenario& scenario) {
     out.records.insert(out.records.end(), batch.records, batch.records + batch.count);
   });
   util::Rng drop_rng(3);
+  std::vector<std::uint16_t> scope(kLineN, 0);
+  for (std::uint32_t id = 0; id < kLineN; ++id) scope[id] = line_scoped(id) ? 1 : 0;
   if (scenario.fault_hook) {
-    radio.set_fault_hook([&](std::uint32_t sender, std::uint32_t receiver,
-                             mac::PsType) -> std::optional<util::Db> {
+    mac::RadioMedium::FaultFn hook = [&](std::uint32_t sender, std::uint32_t receiver,
+                                         mac::PsType) -> std::optional<util::Db> {
       out.hook_calls.emplace_back(sender, receiver);
+      if (scenario.scoped && !line_scoped(sender)) return util::Db{0.0};
       if (drop_rng.bernoulli(0.1)) return std::nullopt;     // random drop
       if (sender == 2 && receiver == 7) return std::nullopt;  // vetoed link
       if (sender == 6 || receiver == 6) return util::Db{8.0};  // attenuated
@@ -287,7 +307,12 @@ LineRun run_line(const LineScenario& scenario) {
         return util::Db{20.0};
       }
       return util::Db{0.0};
-    });
+    };
+    if constexpr (std::is_same_v<Medium, mac::RadioMedium>) {
+      radio.set_fault_hook(std::move(hook), scenario.scoped ? &scope : nullptr);
+    } else {
+      radio.set_fault_hook(std::move(hook));  // the oracle asks for every candidate
+    }
   }
   for (std::int64_t slot = 0; slot < 40; ++slot) {
     sim.schedule_at(sim::SimTime::milliseconds(slot), [&, slot] {
@@ -321,7 +346,19 @@ void expect_sweep_matches_full_scan(const LineScenario& scenario) {
   EXPECT_EQ(cached.counters.fault_drops, scan.counters.fault_drops);
   EXPECT_EQ(cached.counters.collisions, scan.counters.collisions);
   EXPECT_EQ(cached.counters.deliveries, scan.counters.deliveries);
-  EXPECT_EQ(cached.hook_calls, scan.hook_calls);
+  if (scenario.scoped) {
+    // The radio asks exactly for the scoped senders' gated candidates, in
+    // the order the full scan asks for them.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> scoped_calls;
+    for (const auto& call : scan.hook_calls) {
+      if (line_scoped(call.first)) scoped_calls.push_back(call);
+    }
+    EXPECT_GT(scoped_calls.size(), 0U);
+    EXPECT_LT(scoped_calls.size(), scan.hook_calls.size());
+    EXPECT_EQ(cached.hook_calls, scoped_calls);
+  } else {
+    EXPECT_EQ(cached.hook_calls, scan.hook_calls);
+  }
   mac::expect_same_records(scan.records, cached.records);
 }
 
@@ -353,6 +390,87 @@ TEST(RadioFaults, CrashedReceiverWithoutHookMatchesFullScan) {
     expect_sweep_matches_full_scan(
         LineScenario{.fault_hook = false, .duty_gate = false, .crashed = 4, .codec = codec});
   }
+}
+
+TEST(RadioFaults, ScopedHookMatchesFullScan) {
+  // Only senders 6, 0 and 11 can be faulted; every other sender's slice
+  // skips the hook and takes the fault-free sweep.  The oracle still asks
+  // the hook for every candidate and gets 0 dB back for those senders, so
+  // skipping them must change no record, counter or drop draw.
+  for (const mac::RachCodec codec : {mac::RachCodec::kRach1, mac::RachCodec::kRach2}) {
+    SCOPED_TRACE(mac::to_string(codec));
+    expect_sweep_matches_full_scan(LineScenario{
+        .fault_hook = true, .duty_gate = false, .crashed = 4, .codec = codec, .scoped = true});
+  }
+}
+
+/// Two devices 10 m apart on a deterministic channel, with a hook that
+/// vetoes everything it is asked and counts its calls.  A veto is not a
+/// 0 dB answer, so whether a sender's broadcast reaches device 1 shows
+/// whether the radio asked the hook for it.
+struct VetoPair {
+  sim::Simulator sim;
+  phy::Channel channel{phy::RadioParams{}, std::make_unique<phy::PaperDualSlope>(),
+                       std::make_unique<phy::NoShadowing>(),
+                       std::make_unique<phy::NoFading>(), util::Rng(1)};
+  mac::RadioMedium radio{&sim, &channel};
+  int hook_calls = 0;
+  int heard = 0;
+
+  VetoPair() {
+    radio.add_device(0, {0.0, 0.0});
+    radio.add_device(1, {10.0, 0.0});
+    radio.set_delivery_sink(
+        [this](const mac::RxBatch& batch) { heard += static_cast<int>(batch.count); });
+  }
+  mac::RadioMedium::FaultFn veto() {
+    return [this](std::uint32_t, std::uint32_t, mac::PsType) -> std::optional<util::Db> {
+      ++hook_calls;
+      return std::nullopt;
+    };
+  }
+  void send_from_0() {
+    sim.schedule_at(sim.now(), [this] {
+      radio.broadcast(0, {mac::RachCodec::kRach1, 0}, mac::PsType::kSyncPulse, 0);
+    });
+    sim.run();
+  }
+};
+
+TEST(RadioFaults, ScopeEntryIsReadAtEveryFlush) {
+  VetoPair pair;
+  std::vector<std::uint16_t> scope(2, 0);
+  pair.radio.set_fault_hook(pair.veto(), &scope);
+  pair.send_from_0();
+  EXPECT_EQ(pair.hook_calls, 0) << "sender 0 is outside the scope";
+  EXPECT_EQ(pair.heard, 1);
+  EXPECT_EQ(pair.radio.counters().fault_drops, 0U);
+
+  scope[0] = 1;  // sender 0 becomes faultable between slots
+  pair.send_from_0();
+  EXPECT_EQ(pair.hook_calls, 1);
+  EXPECT_EQ(pair.heard, 1) << "the veto now applies";
+  EXPECT_EQ(pair.radio.counters().fault_drops, 1U);
+
+  scope[0] = 0;
+  pair.send_from_0();
+  EXPECT_EQ(pair.hook_calls, 1);
+  EXPECT_EQ(pair.heard, 2);
+}
+
+TEST(RadioFaults, InstallingAHookWithoutScopeDropsTheOldScope) {
+  VetoPair pair;
+  const std::vector<std::uint16_t> scope(2, 0);
+  pair.radio.set_fault_hook(pair.veto(), &scope);
+  pair.send_from_0();
+  EXPECT_EQ(pair.hook_calls, 0);
+  EXPECT_EQ(pair.heard, 1);
+
+  pair.radio.set_fault_hook(pair.veto());  // unscoped: every sender asks
+  pair.send_from_0();
+  EXPECT_EQ(pair.hook_calls, 1);
+  EXPECT_EQ(pair.heard, 1);
+  EXPECT_EQ(pair.radio.counters().fault_drops, 1U);
 }
 
 // Exposes the protected stepping interface for lifecycle tests.
